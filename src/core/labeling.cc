@@ -238,6 +238,52 @@ void LabelFromLandmark(const Graph& g, const PathLabeling& labeling,
   LabelFromLandmarkImpl<false>(g, labeling, i, col, meta_edges, s, nullptr);
 }
 
+// --- The per-vertex recurrences every labelling path shares. Each reads
+// only v's exact depth and its neighbours one level up (parents) or on its
+// own level, which is what lets the edit-local repair (RepairLabelColumn)
+// recompute single vertices and still match a full pass bit for bit.
+
+// The QL rule: v (depth >= 1) is first reached via QL iff some parent is QL.
+template <class IsQl>
+bool HasQlParent(const Graph& g, const std::vector<uint32_t>& depth,
+                 VertexId v, IsQl is_ql) {
+  const uint32_t d = depth[v];
+  for (VertexId w : g.Neighbors(v)) {
+    // depth[w] + 1 wraps to 0 for unreached w; d >= 1 here, so no match.
+    if (depth[w] + 1 == d && is_ql(w)) return true;
+  }
+  return false;
+}
+
+// S^{-1} of v at depth >= 2: the union of its parents' S^{-1}.
+template <class MaskAt>
+uint64_t ParentSMinus(const Graph& g, const std::vector<uint32_t>& depth,
+                      VertexId v, MaskAt mask_at) {
+  const uint32_t d = depth[v];
+  uint64_t m = 0;
+  for (VertexId w : g.Neighbors(v)) {
+    if (depth[w] + 1 == d) m |= mask_at(w).s_minus;
+  }
+  return m;
+}
+
+// S^0 of v at depth >= 1: same-level neighbours' S^{-1} and parents' S^0,
+// minus v's own (final) S^{-1}.
+template <class MaskAt>
+uint64_t SZeroOf(const Graph& g, const std::vector<uint32_t>& depth,
+                 VertexId v, MaskAt mask_at) {
+  const uint32_t d = depth[v];
+  uint64_t z = 0;
+  for (VertexId w : g.Neighbors(v)) {
+    if (depth[w] == d) {
+      z |= mask_at(w).s_minus;
+    } else if (depth[w] + 1 == d) {
+      z |= mask_at(w).s_zero;
+    }
+  }
+  return z & ~mask_at(v).s_minus;
+}
+
 // Selects S_r for the landmark rooted at `root`: its first <= 64
 // non-landmark neighbours in adjacency (ascending id) order.
 std::vector<VertexId> SelectBpNeighbors(const Graph& g,
@@ -252,28 +298,19 @@ std::vector<VertexId> SelectBpNeighbors(const Graph& g,
   return selected;
 }
 
-// The S^0 gather kernel over order[begin, end): each vertex ORs same-level
-// neighbours' S^{-1} and parents' S^0, minus its own S^{-1}. Requires
-// parents' s_zero to be final, which the settle order guarantees for both
-// the full replay sweep and the fused path's per-level ranges — keep this
-// the single definition of the recurrence, or the fused-vs-replay
-// bit-identity breaks.
+// The S^0 gather kernel over order[begin, end): SZeroOf per vertex.
+// Requires parents' s_zero to be final, which the settle order guarantees
+// for both the full replay sweep and the fused path's per-level ranges —
+// keep SZeroOf the single definition of the recurrence, or the
+// fused-vs-replay and repair-vs-rebuild bit-identities break.
 void GatherBpSZero(const Graph& g, const std::vector<uint32_t>& depth,
                    const std::vector<VertexId>& order, size_t begin,
                    size_t end, BpMask* col) {
+  const auto mask_at = [col](VertexId w) -> const BpMask& { return col[w]; };
   for (size_t idx = begin; idx < end; ++idx) {
     const VertexId v = order[idx];
-    const uint32_t d = depth[v];
-    if (d == 0) continue;
-    uint64_t z = 0;
-    for (VertexId w : g.Neighbors(v)) {
-      if (depth[w] == d) {
-        z |= col[w].s_minus;
-      } else if (depth[w] + 1 == d) {
-        z |= col[w].s_zero;
-      }
-    }
-    col[v].s_zero = z & ~col[v].s_minus;
+    if (depth[v] == 0) continue;
+    col[v].s_zero = SZeroOf(g, depth, v, mask_at);
   }
 }
 
@@ -373,14 +410,10 @@ void ComputeBpColumn(const Graph& g, const std::vector<VertexId>& selected,
   for (size_t j = 0; j < selected.size(); ++j) {
     col[selected[j]].s_minus = 1ull << j;
   }
+  const auto mask_at = [col](VertexId w) -> const BpMask& { return col[w]; };
   for (const VertexId v : order) {
-    const uint32_t d = depth[v];
-    if (d < 2) continue;  // root and level 1 are fully seeded above
-    uint64_t m = 0;
-    for (VertexId w : g.Neighbors(v)) {
-      if (depth[w] == d - 1) m |= col[w].s_minus;
-    }
-    col[v].s_minus = m;
+    if (depth[v] < 2) continue;  // root and level 1 are fully seeded above
+    col[v].s_minus = ParentSMinus(g, depth, v, mask_at);
   }
   ComputeBpSZeroSweep(g, depth, order, col);
 }
@@ -608,14 +641,8 @@ void RederiveLabelColumn(const Graph& g, PathLabeling& labeling,
       ql[v] = 1;  // the root joins QL even though it is a landmark
       continue;
     }
-    bool via_l = false;
-    for (VertexId w : g.Neighbors(v)) {
-      // depth[w] + 1 wraps to 0 for unreached w; d >= 1 here, so no match.
-      if (depth[w] + 1 == d && ql[w] != 0) {
-        via_l = true;
-        break;
-      }
-    }
+    const bool via_l =
+        HasQlParent(g, depth, v, [&ql](VertexId w) { return ql[w] != 0; });
     const int32_t rank = labeling.LandmarkRank(v);
     if (rank >= 0) {
       if (via_l) {
@@ -636,6 +663,159 @@ void RederiveLabelColumn(const Graph& g, PathLabeling& labeling,
   }
   std::sort(meta.begin(), meta.end());
   state->meta = std::move(meta);
+}
+
+ColumnRepair RepairLabelColumn(const Graph& g, PathLabeling& labeling,
+                               LandmarkIndex i, LabelColumnState* state,
+                               const std::vector<MovedVertex>& moved,
+                               const std::vector<VertexId>& touched) {
+  const VertexId root = labeling.LandmarkVertex(i);
+  const bool bp = labeling.has_bp_masks();
+  // An edit at the root can renumber S_r, and with it every mask bit.
+  if (bp && std::binary_search(touched.begin(), touched.end(), root) &&
+      SelectBpNeighbors(g, labeling, root) != labeling.BpSelected(i)) {
+    RederiveLabelColumn(g, labeling, i, state);
+    return ColumnRepair::kRederived;
+  }
+  const std::vector<uint32_t>& depth = state->depth;
+  QBS_CHECK_EQ(depth.size(), static_cast<size_t>(g.NumVertices()));
+  const auto is_ql = [&](VertexId w) {
+    return w == root ||
+           (!labeling.IsLandmark(w) && labeling.Get(w, i) != kInfDist);
+  };
+  const auto mask_at = [&](VertexId w) { return labeling.GetBpMask(w, i); };
+  bool changed = !moved.empty();
+
+  // Worklists by (new) depth: `full` recomputes every derived value of a
+  // vertex, `zero` only its S^0. Unreachable vertices carry nothing.
+  std::vector<std::vector<VertexId>> full;
+  std::vector<std::vector<VertexId>> zero;
+  std::vector<VertexId> gone;
+  const auto push = [&](std::vector<std::vector<VertexId>>& queue,
+                        VertexId v) {
+    const uint32_t d = depth[v];
+    if (d == kUnreachable) {
+      gone.push_back(v);
+      return;
+    }
+    if (queue.size() <= d) queue.resize(static_cast<size_t>(d) + 1);
+    queue[d].push_back(v);
+  };
+  const auto push_level = [&](std::vector<std::vector<VertexId>>& queue,
+                              VertexId v, uint32_t d) {
+    for (VertexId w : g.Neighbors(v)) {
+      if (depth[w] == d) push(queue, w);
+    }
+  };
+  for (const VertexId v : touched) push(full, v);
+  for (const MovedVertex& m : moved) {
+    push(full, m.v);
+    // A neighbour w reads v only while v sits one level above w or on w's
+    // level, before or after the move.
+    const uint32_t now = depth[m.v];
+    for (VertexId w : g.Neighbors(m.v)) {
+      const uint32_t dw = depth[w];
+      if (dw != kUnreachable && (dw == m.old_depth || dw == m.old_depth + 1 ||
+                                 dw == now || dw == now + 1)) {
+        push(full, w);
+      }
+    }
+  }
+
+  // Sets landmark `rank`'s meta-edge to weight d, or drops it (d = 0).
+  const auto set_meta = [&](int32_t rank, uint32_t d) {
+    auto it = std::find_if(
+        state->meta.begin(), state->meta.end(), [rank](const MetaEdge& e) {
+          return e.b == static_cast<LandmarkIndex>(rank);
+        });
+    if (d == 0) {
+      if (it == state->meta.end()) return;
+      state->meta.erase(it);
+    } else if (it == state->meta.end()) {
+      state->meta.push_back(MetaEdge{i, static_cast<LandmarkIndex>(rank), d});
+    } else if (it->weight != d) {
+      it->weight = d;
+    } else {
+      return;
+    }
+    changed = true;
+  };
+
+  for (const VertexId v : gone) {
+    if (labeling.Get(v, i) != kInfDist) {
+      labeling.Set(v, i, kInfDist);
+      changed = true;
+    }
+    if (bp && !(labeling.GetBpMask(v, i) == BpMask{})) {
+      labeling.SetBpMask(v, i, BpMask{});
+      changed = true;
+    }
+    if (labeling.IsLandmark(v)) set_meta(labeling.LandmarkRank(v), 0);
+  }
+
+  // Level order, as in a full pass: a level's QL, labels and S^{-1} read
+  // only final parents; its S^0 then reads the level's final S^{-1}. A
+  // vertex hands work on only when a value its readers use has changed.
+  // The root (level 0) never changes.
+  const auto sort_unique = [](std::vector<VertexId>* level) {
+    std::sort(level->begin(), level->end());
+    level->erase(std::unique(level->begin(), level->end()), level->end());
+  };
+  for (uint32_t d = 1; d < std::max(full.size(), zero.size()); ++d) {
+    std::vector<VertexId> level;
+    if (d < full.size()) level = std::move(full[d]);
+    sort_unique(&level);
+    for (const VertexId v : level) {
+      const bool via_l = HasQlParent(g, depth, v, is_ql);
+      bool flows = false;
+      const int32_t rank = labeling.LandmarkRank(v);
+      if (rank >= 0) {
+        set_meta(rank, via_l ? d : 0);
+      } else {
+        const DistT label = via_l ? static_cast<DistT>(d) : kInfDist;
+        if (labeling.Get(v, i) != label) {
+          labeling.Set(v, i, label);
+          flows = true;
+        }
+      }
+      if (bp) {
+        BpMask mask = labeling.GetBpMask(v, i);
+        uint64_t s_minus = 0;
+        if (d >= 2) {
+          s_minus = ParentSMinus(g, depth, v, mask_at);
+        } else {
+          const std::vector<VertexId>& selected = labeling.BpSelected(i);
+          const auto it = std::find(selected.begin(), selected.end(), v);
+          if (it != selected.end()) s_minus = 1ull << (it - selected.begin());
+        }
+        if (s_minus != mask.s_minus) {
+          mask.s_minus = s_minus;
+          labeling.SetBpMask(v, i, mask);
+          push_level(zero, v, d);
+          flows = true;
+        }
+        push(zero, v);
+      }
+      if (flows) {
+        changed = true;
+        push_level(full, v, d + 1);
+      }
+    }
+    if (!bp || d >= zero.size()) continue;
+    level = std::move(zero[d]);
+    sort_unique(&level);
+    for (const VertexId v : level) {
+      BpMask mask = labeling.GetBpMask(v, i);
+      const uint64_t s_zero = SZeroOf(g, depth, v, mask_at);
+      if (s_zero == mask.s_zero) continue;
+      mask.s_zero = s_zero;
+      labeling.SetBpMask(v, i, mask);
+      changed = true;
+      push_level(full, v, d + 1);
+    }
+  }
+  std::sort(state->meta.begin(), state->meta.end());
+  return changed ? ColumnRepair::kRepaired : ColumnRepair::kUnchanged;
 }
 
 }  // namespace qbs

@@ -223,16 +223,45 @@ struct LabelColumnState {
 void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,
                         LandmarkIndex i, LabelColumnState* state);
 
-/// Rederives landmark column i's labels, meta-edges, and masks from an
-/// already-exact depth array in state->depth (e.g. after a partial BFS
-/// repair against the updated graph): recomputes the QL classification
-/// level by level and replays the mask sweeps. Bit-identical to
-/// RebuildLabelColumn(g, ...) whenever state->depth matches the BFS depths
-/// on `g` — the QL rule and both mask recurrences depend only on exact
-/// depths, not on traversal order. state->meta is rewritten; S_r is
-/// refreshed from `g`'s adjacency when masks are enabled.
+/// Rederives all of landmark column i — labels, meta-edges and masks — from
+/// an already-exact depth array in state->depth: recomputes the QL
+/// classification level by level and replays the mask sweeps over every
+/// reached vertex, O(|V| + |E|). Bit-identical to RebuildLabelColumn(g, ...)
+/// whenever state->depth matches the BFS depths on `g` — the QL rule and
+/// both mask recurrences depend only on exact depths, not on traversal
+/// order. state->meta is rewritten; S_r is refreshed from `g`'s adjacency
+/// when masks are enabled. Incremental maintenance falls back to it only
+/// when an edit at the root changes S_r (RepairLabelColumn), since that
+/// renumbers every mask bit of the column.
 void RederiveLabelColumn(const Graph& g, PathLabeling& labeling,
                          LandmarkIndex i, LabelColumnState* state);
+
+/// A vertex whose exact depth in a column changed, with its depth before.
+struct MovedVertex {
+  VertexId v = 0;
+  uint32_t old_depth = 0;
+};
+
+enum class ColumnRepair : uint8_t {
+  kUnchanged = 0,  // no depth, label, mask or meta-edge changed
+  kRepaired = 1,   // the edit-local worklist brought the column up to date
+  kRederived = 2,  // S_r changed: a full RederiveLabelColumn ran
+};
+
+/// The edit-local counterpart of RederiveLabelColumn. state->depth must
+/// already be exact on `g` (the post-edit graph); `moved` lists every
+/// vertex whose depth changed, `touched` (sorted) every endpoint of an
+/// edited edge. Recomputes the QL flag, label, meta-edge, S^{-1} and S^0
+/// of exactly those vertices, of the neighbours that read a moved vertex,
+/// and — in depth order — of every vertex a changed value flows to, with
+/// the same recurrences as the full pass, so the column ends bit-identical
+/// to RebuildLabelColumn(g, ...). Cost: the changed region times its
+/// degree. Falls back to RederiveLabelColumn when an edit at the root
+/// changes S_r.
+ColumnRepair RepairLabelColumn(const Graph& g, PathLabeling& labeling,
+                               LandmarkIndex i, LabelColumnState* state,
+                               const std::vector<MovedVertex>& moved,
+                               const std::vector<VertexId>& touched);
 
 }  // namespace qbs
 

@@ -294,10 +294,10 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
     return stats;
   }
   Graph new_graph = ApplyNetChanges(*g_, net);
-  // Classification reads the OLD depths/masks (still held in updatable_
-  // and the labelling), never the old adjacency — so the graph swaps in
-  // first. Move-assignment keeps *g_'s address stable, which every live
-  // searcher references.
+  // The column repair reads the OLD depths/labels (still held in
+  // updatable_ and the labelling), never the old adjacency — so the graph
+  // swaps in first. Move-assignment keeps *g_'s address stable, which
+  // every live searcher references.
   *mutable_g_ = std::move(new_graph);
   const UpdateStats col =
       ApplyNetToLabeling(*g_, net, &scheme_->labeling, &scheme_->meta,
@@ -307,7 +307,7 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   stats.repaired_columns = col.repaired_columns;
   stats.rebuilt_columns = col.rebuilt_columns;
   stats.deferred_columns = col.deferred_columns;
-  RefreshDerived(options.num_threads);
+  RefreshDerived(net, options.num_threads);
   return stats;
 }
 
@@ -316,16 +316,29 @@ uint32_t QbsIndex::Consolidate(size_t num_threads) {
   const uint32_t rebuilt =
       ConsolidateDirtyColumns(*g_, &scheme_->labeling, &scheme_->meta,
                               updatable_.get(), num_threads);
-  if (rebuilt > 0) RefreshDerived(num_threads);
+  if (rebuilt > 0) RefreshDerived(NetChanges(), num_threads);
   return rebuilt;
 }
 
-void QbsIndex::RefreshDerived(size_t num_threads) {
+void QbsIndex::RefreshDerived(const NetChanges& net, size_t num_threads) {
   if (delta_ != nullptr) {
     *delta_ = DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta,
                                 num_threads);
   }
-  *sparsified_ = MakeSparsifiedGraph(*g_, scheme_->labeling);
+  // G⁻ = G[V \ R] with fixed R: it takes exactly the edits between two
+  // non-landmarks.
+  const PathLabeling& labeling = scheme_->labeling;
+  const auto sparse = [&](const std::vector<Edge>& edits) {
+    std::vector<Edge> kept;
+    for (const Edge& e : edits) {
+      if (!labeling.IsLandmark(e.u) && !labeling.IsLandmark(e.v)) {
+        kept.push_back(e);
+      }
+    }
+    return kept;
+  };
+  *sparsified_ =
+      SpliceEdges(*sparsified_, sparse(net.inserts), sparse(net.deletes));
 }
 
 uint32_t QbsIndex::DistanceUpperBound(VertexId u, VertexId v) const {

@@ -208,9 +208,9 @@ class QbsIndex {
 
   bool updates_enabled() const { return updatable_ != nullptr; }
 
-  /// Applies an edit script: computes the net edge changes, swaps in the
-  /// updated graph, repairs/rebuilds exactly the affected label columns,
-  /// and refreshes the meta-graph, Δ cache, and sparsified graph. With
+  /// Applies an edit script: computes the net edge changes, splices them
+  /// into the graph, repairs each label column edit-locally, and refreshes
+  /// the meta-graph, Δ cache, and sparsified graph. With
   /// options.consolidate (default) the index answers every query exactly
   /// as a from-scratch build on the new graph would — bit-identically —
   /// when this returns; with consolidate = false, delete-dirtied columns
@@ -257,6 +257,9 @@ class QbsIndex {
   const PathLabeling& labeling() const { return scheme_->labeling; }
   /// The landmark meta-graph M (read-only).
   const MetaGraph& meta_graph() const { return scheme_->meta; }
+  /// The sparsified graph G⁻ = G[V \ R] every searcher of this index
+  /// traverses (read-only).
+  const Graph& sparsified_graph() const { return *sparsified_; }
   /// The Δ cache, or nullptr when built with precompute_delta = false.
   const DeltaCache* delta_cache() const { return delta_.get(); }
   /// Wall-clock timings of the offline phase.
@@ -277,10 +280,12 @@ class QbsIndex {
  private:
   QbsIndex() = default;
 
-  /// Rebuilds the structures derived from (graph, labelling, meta) after a
-  /// mutation: the Δ cache (when enabled) and the sparsified graph, both
-  /// move-assigned in place so searcher references stay valid.
-  void RefreshDerived(size_t num_threads);
+  /// Refreshes the structures derived from (graph, labelling, meta) after
+  /// a mutation whose net graph edits are `net`: rebuilds the Δ cache (when
+  /// enabled) and splices the edits between non-landmarks into the
+  /// sparsified graph, both move-assigned in place so searcher references
+  /// stay valid.
+  void RefreshDerived(const NetChanges& net, size_t num_threads);
 
   const Graph* g_ = nullptr;  // not owned
   /// Heap-allocated so GuidedSearcher's references survive moves.

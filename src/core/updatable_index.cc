@@ -9,97 +9,160 @@
 namespace qbs {
 namespace {
 
-enum class ColumnImpact : uint8_t {
-  kUnaffected = 0,  // nothing in this batch touches the column
-  kRepair = 1,      // decrease-only depth repair + rederivation suffices
-  kRebuild = 2,     // a parent edge died (or the column was already dirty)
+// Decrease-only relaxation of a depth array in depth order: a bucket queue
+// over unit edge weights. Each lowered vertex is logged with the depth it
+// had before.
+class DepthLowering {
+ public:
+  DepthLowering(std::vector<uint32_t>* depth, std::vector<MovedVertex>* log)
+      : depth_(*depth), log_(*log) {}
+
+  void Relax(VertexId v, uint32_t d) {
+    if (d >= depth_[v]) return;
+    log_.push_back({v, depth_[v]});
+    depth_[v] = d;
+    if (buckets_.size() <= d) buckets_.resize(static_cast<size_t>(d) + 1);
+    buckets_[d].push_back(v);
+  }
+
+  // Settles the queue, relaxing every edge (x, w) of `g` with keep(x, w).
+  template <class Keep>
+  void Propagate(const Graph& g, Keep keep) {
+    for (size_t d = 0; d < buckets_.size(); ++d) {
+      for (size_t idx = 0; idx < buckets_[d].size(); ++idx) {
+        const VertexId x = buckets_[d][idx];
+        if (depth_[x] != d) continue;  // superseded by a later improvement
+        for (VertexId w : g.Neighbors(x)) {
+          if (keep(x, w)) Relax(w, static_cast<uint32_t>(d) + 1);
+        }
+      }
+    }
+    buckets_.clear();
+  }
+
+ private:
+  std::vector<uint32_t>& depth_;
+  std::vector<MovedVertex>& log_;
+  std::vector<std::vector<VertexId>> buckets_;
 };
 
-// Classifies column i against its OLD exact depths and masks (see the
-// header for the per-edge rules and why they are sound for whole batches:
-// every individually-"unaffected" edit provably changes no depth, label,
-// meta-edge, or mask bit, so their composition changes none either).
-ColumnImpact ClassifyColumn(const PathLabeling& labeling, LandmarkIndex i,
-                            const LabelColumnState& state,
-                            const NetChanges& net) {
-  const bool bp = labeling.has_bp_masks();
-  const auto& depth = state.depth;
-  bool repair = false;
+// Increase pass (Ramalingam–Reps for unit weights) on the new graph with
+// the batch's inserts ignored. A deleted parent edge orphans its deeper end
+// unless that vertex keeps another parent; orphans orphan the children
+// they leave without a parent, level by level. Exactly the orphans' depths
+// grow. They are then settled from their surviving neighbours by a bucket
+// queue through the orphaned region (unreached ones become kUnreachable).
+void RaiseOrphanedDepths(const Graph& g, const NetChanges& net,
+                         std::vector<uint32_t>* depth_io,
+                         std::vector<MovedVertex>* log) {
+  auto& depth = *depth_io;
+  const auto kept = [&](VertexId x, VertexId w) {
+    return !std::binary_search(net.inserts.begin(), net.inserts.end(),
+                               Edge(x, w).Normalized());
+  };
+  std::vector<std::vector<VertexId>> suspects;  // by old depth
+  const auto suspect = [&](VertexId v) {
+    const uint32_t d = depth[v];
+    if (suspects.size() <= d) suspects.resize(static_cast<size_t>(d) + 1);
+    suspects[d].push_back(v);
+  };
   for (const Edge& e : net.deletes) {
     const uint32_t du = depth[e.u];
     const uint32_t dv = depth[e.v];
-    if (du == kUnreachable && dv == kUnreachable) continue;
-    // An existing edge has |du - dv| <= 1 with both ends reachable or
-    // neither; anything else (defensively) rebuilds too.
-    if (du != dv) return ColumnImpact::kRebuild;
-    if (!bp) continue;
-    // Same-level delete: distances hold; only a realized S^0 witness can
-    // die. S⁻(u) & S⁰(v) is exact — any bit u contributed to v's S^0
-    // through this edge is in both.
-    const BpMask mu = labeling.GetBpMask(e.u, i);
-    const BpMask mv = labeling.GetBpMask(e.v, i);
-    if (((mu.s_minus & mv.s_zero) | (mv.s_minus & mu.s_zero)) != 0) {
-      repair = true;
-    }
+    if (du == kUnreachable || dv == kUnreachable) continue;
+    if (du + 1 == dv) suspect(e.v);
+    if (dv + 1 == du) suspect(e.u);
   }
-  for (const Edge& e : net.inserts) {
-    const uint32_t du = depth[e.u];
-    const uint32_t dv = depth[e.v];
-    // Both ends unreachable from r: the new edge lives entirely in the
-    // unreachable region and cannot connect it to r.
-    if (du == kUnreachable && dv == kUnreachable) continue;
-    if (du == dv) {
-      // Same-level insert: distances and parent edges hold; only the S^0
-      // masks can gain a witness (a bit of one side's S⁻ the other side
-      // doesn't already carry in S⁻ or S⁰).
-      if (!bp) continue;
-      const BpMask mu = labeling.GetBpMask(e.u, i);
-      const BpMask mv = labeling.GetBpMask(e.v, i);
-      if (((mu.s_minus & ~(mv.s_minus | mv.s_zero)) |
-           (mv.s_minus & ~(mu.s_minus | mu.s_zero))) != 0) {
-        repair = true;
+  // Orphaning writes kUnreachable at once, so later parent checks skip
+  // orphans; parents one level up are final by the level order.
+  std::vector<VertexId> orphans;
+  for (size_t d = 1; d < suspects.size(); ++d) {
+    for (size_t idx = 0; idx < suspects[d].size(); ++idx) {
+      const VertexId v = suspects[d][idx];
+      if (depth[v] != d) continue;  // already orphaned
+      bool parent = false;
+      for (VertexId w : g.Neighbors(v)) {
+        if (depth[w] + 1 == d && kept(v, w)) {
+          parent = true;
+          break;
+        }
       }
-      continue;
+      if (parent) continue;
+      log->push_back({v, depth[v]});
+      depth[v] = kUnreachable;
+      orphans.push_back(v);
+      for (VertexId w : g.Neighbors(v)) {
+        if (depth[w] == d + 1 && kept(v, w)) suspect(w);
+      }
     }
-    // One end unreachable, or depths differ: distances shrink and/or a new
-    // parent edge appears — both decrease-only, hence repairable.
-    repair = true;
   }
-  return repair ? ColumnImpact::kRepair : ColumnImpact::kUnaffected;
+  if (orphans.empty()) return;
+  // Every surviving vertex kept its exact depth, so each orphan starts
+  // from its best surviving neighbour.
+  DepthLowering lowering(&depth, log);
+  for (const VertexId v : orphans) {
+    uint32_t best = kUnreachable;
+    for (VertexId w : g.Neighbors(v)) {
+      if (depth[w] != kUnreachable && kept(v, w)) {
+        best = std::min(best, depth[w] + 1);
+      }
+    }
+    if (best != kUnreachable) lowering.Relax(v, best);
+  }
+  lowering.Propagate(g, kept);
 }
 
-// Decrease-only multi-source partial BFS on the NEW graph: seeds every
-// inserted edge's deeper endpoint from the shallower one, then propagates
-// improvements in depth order through a bucket queue. Exact for
-// insert-only depth change (a vertex whose distance shrinks lies past an
-// inserted edge; induction on the new distance), and for mixed batches
-// whose deletes are all same-level under the old depths (those deletes
-// change no distance, so "old depths on the new graph" is a valid
-// overestimate to relax from). Touches only the shrinking region — the
-// bounded partial BFS of the ROADMAP item.
-void RepairColumnDepths(const Graph& g, const std::vector<Edge>& inserts,
-                        std::vector<uint32_t>* depth_io) {
+// Decrease pass on the full new graph: seeds every inserted edge's deeper
+// endpoint from the shallower one and propagates improvements in depth
+// order. Exact because the depths it starts from are exact on the new
+// graph minus the inserts (a vertex whose distance shrinks lies past an
+// inserted edge; induction on the new distance).
+void LowerDepthsAcrossInserts(const Graph& g, const std::vector<Edge>& inserts,
+                              std::vector<uint32_t>* depth_io,
+                              std::vector<MovedVertex>* log) {
   auto& depth = *depth_io;
-  std::vector<std::vector<VertexId>> buckets;
-  auto relax = [&](VertexId v, uint32_t nd) {
-    if (nd >= depth[v]) return;
-    depth[v] = nd;
-    if (buckets.size() <= nd) buckets.resize(nd + 1);
-    buckets[nd].push_back(v);
-  };
+  DepthLowering lowering(&depth, log);
   for (const Edge& e : inserts) {
-    if (depth[e.u] != kUnreachable) relax(e.v, depth[e.u] + 1);
-    if (depth[e.v] != kUnreachable) relax(e.u, depth[e.v] + 1);
+    if (depth[e.u] != kUnreachable) lowering.Relax(e.v, depth[e.u] + 1);
+    if (depth[e.v] != kUnreachable) lowering.Relax(e.u, depth[e.v] + 1);
   }
-  for (size_t d = 0; d < buckets.size(); ++d) {
-    for (size_t idx = 0; idx < buckets[d].size(); ++idx) {
-      const VertexId u = buckets[d][idx];
-      if (depth[u] != d) continue;  // superseded by a later improvement
-      for (VertexId w : g.Neighbors(u)) {
-        relax(w, static_cast<uint32_t>(d) + 1);
-      }
+  lowering.Propagate(g, [](VertexId, VertexId) { return true; });
+}
+
+// True iff a delete in the batch removes a parent edge of the column — the
+// columns deferred when UpdateOptions::consolidate is false.
+bool CutsParentEdge(const std::vector<uint32_t>& depth,
+                    const std::vector<Edge>& deletes) {
+  for (const Edge& e : deletes) {
+    if (depth[e.u] != depth[e.v]) return true;
+  }
+  return false;
+}
+
+// Brings one clean column to the new graph: exact depths by the increase
+// and decrease passes, then the edit-local rederivation of what the moved
+// depths and the edited adjacency reach.
+ColumnRepair RepairColumn(const Graph& g, const NetChanges& net,
+                          const std::vector<VertexId>& touched,
+                          PathLabeling& labeling, LandmarkIndex i,
+                          LabelColumnState* state) {
+  std::vector<MovedVertex> log;
+  RaiseOrphanedDepths(g, net, &state->depth, &log);
+  LowerDepthsAcrossInserts(g, net.inserts, &state->depth, &log);
+  // A vertex can be logged more than once (raised, then lowered); its first
+  // entry holds the pre-batch depth. Keep the vertices that really moved.
+  std::stable_sort(log.begin(), log.end(),
+                   [](const MovedVertex& a, const MovedVertex& b) {
+                     return a.v < b.v;
+                   });
+  std::vector<MovedVertex> moved;
+  for (size_t idx = 0; idx < log.size(); ++idx) {
+    if (idx > 0 && log[idx].v == log[idx - 1].v) continue;
+    if (state->depth[log[idx].v] != log[idx].old_depth) {
+      moved.push_back(log[idx]);
     }
   }
+  return RepairLabelColumn(g, labeling, i, state, moved, touched);
 }
 
 // Rebuilds the meta-graph from the per-column meta lists. Each meta-edge
@@ -157,48 +220,49 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
   }
   const size_t workers =
       std::min<size_t>(EffectiveThreads(options.num_threads), k);
+  std::vector<VertexId> touched;
+  for (const std::vector<Edge>* edges : {&net.inserts, &net.deletes}) {
+    for (const Edge& e : *edges) {
+      touched.push_back(e.u);
+      touched.push_back(e.v);
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
-  // Phase 1: classify every column against its old depths/masks. Read-only
-  // over the pre-edit state, so no ordering hazards with phase 2.
-  std::vector<ColumnImpact> impact(k, ColumnImpact::kUnaffected);
-  ParallelFor(k, workers, [&](size_t i, size_t) {
-    impact[i] = state->dirty[i] != 0
-                    ? ColumnImpact::kRebuild
-                    : ClassifyColumn(*labeling, static_cast<LandmarkIndex>(i),
-                                     state->columns[i], net);
-  });
-
-  // Phase 2: repair / rebuild affected columns against the new graph.
   // Columns are independent (Lemma 5.2), and every write — label column,
   // mask column, S_r slot, LabelColumnState — is column-private.
+  // CutsParentEdge reads the column's pre-batch depths.
+  enum class Outcome : uint8_t { kUnchanged, kRepaired, kRebuilt, kDeferred };
+  std::vector<Outcome> outcome(k, Outcome::kUnchanged);
   ParallelFor(k, workers, [&](size_t i, size_t) {
     const auto li = static_cast<LandmarkIndex>(i);
-    switch (impact[i]) {
-      case ColumnImpact::kUnaffected:
-        break;
-      case ColumnImpact::kRepair:
-        RepairColumnDepths(new_graph, net.inserts, &state->columns[i].depth);
-        RederiveLabelColumn(new_graph, *labeling, li, &state->columns[i]);
-        break;
-      case ColumnImpact::kRebuild:
-        if (options.consolidate) {
-          RebuildLabelColumn(new_graph, *labeling, li, &state->columns[i]);
-          state->dirty[i] = 0;
-        } else {
-          state->dirty[i] = 1;
-        }
-        break;
-    }
-  });
-  for (uint32_t i = 0; i < k; ++i) {
-    if (impact[i] == ColumnImpact::kRepair) ++stats.repaired_columns;
-    if (impact[i] == ColumnImpact::kRebuild) {
-      if (options.consolidate) {
-        ++stats.rebuilt_columns;
-      } else {
-        ++stats.deferred_columns;
+    LabelColumnState& col = state->columns[i];
+    if (!options.consolidate &&
+        (state->dirty[i] != 0 || CutsParentEdge(col.depth, net.deletes))) {
+      state->dirty[i] = 1;
+      outcome[i] = Outcome::kDeferred;
+    } else if (state->dirty[i] != 0) {
+      RebuildLabelColumn(new_graph, *labeling, li, &col);
+      state->dirty[i] = 0;
+      outcome[i] = Outcome::kRebuilt;
+    } else {
+      switch (RepairColumn(new_graph, net, touched, *labeling, li, &col)) {
+        case ColumnRepair::kUnchanged:
+          break;
+        case ColumnRepair::kRepaired:
+          outcome[i] = Outcome::kRepaired;
+          break;
+        case ColumnRepair::kRederived:
+          outcome[i] = Outcome::kRebuilt;
+          break;
       }
     }
+  });
+  for (const Outcome o : outcome) {
+    stats.repaired_columns += o == Outcome::kRepaired ? 1 : 0;
+    stats.rebuilt_columns += o == Outcome::kRebuilt ? 1 : 0;
+    stats.deferred_columns += o == Outcome::kDeferred ? 1 : 0;
   }
 
   *meta = RebuildMeta(k, *state);

@@ -1,40 +1,48 @@
 // Incremental maintenance of the QbS labelling scheme under edge edits.
 //
-// The labelling is uniquely determined by (G, R) (Lemma 5.2), so dynamism
-// reduces to: given a batch of net edge changes, bring every landmark
-// column — labels, bit-parallel masks, meta-edges — to exactly what a
-// from-scratch build on the new graph would produce. The machinery here
-// does that column by column:
+// The labelling is uniquely determined by (G, R) (Lemma 5.2): every label,
+// bit-parallel mask and meta-edge of a landmark column is a function of
+// that landmark's exact BFS depths. Each column keeps those depths
+// (LabelColumnState, captured at EnableUpdates / rebuild time), so a batch
+// of net edge changes is repaired column by column, touching only what the
+// batch changes:
 //
-//   1. Detection. Each column keeps its exact BFS depth array
-//      (LabelColumnState, captured at EnableUpdates / rebuild time). An
-//      edited edge (u, v) can only affect column r if the stored depths
-//      (and, for same-level edits, the stored masks) say so:
-//        insert — both endpoints unreachable from r: nothing changes; one
-//          unreachable or |d(u)-d(v)| >= 2: distances shrink; |diff| == 1:
-//          a new parent edge (QL / mask flow changes); d(u) == d(v):
-//          distances hold, only the S^0 masks can gain a witness —
-//          affected iff (S⁻(u) & ~(S⁻(v)|S⁰(v))) | (sym.) != 0.
-//        delete — |d(u)-d(v)| == 1: a parent edge died, distances can
-//          grow — the column is dirty and needs a full rebuild; d(u) ==
-//          d(v): distances hold, affected iff a realized S^0 witness dies:
-//          (S⁻(u) & S⁰(v)) | (S⁻(v) & S⁰(u)) != 0.
-//   2. Repair (insert-affected, no dirty deletes): a decrease-only
-//      multi-source partial BFS on the new graph, seeded from the inserted
-//      edges' shallower endpoints, updates the depth array to exact new
-//      distances; RederiveLabelColumn then recomputes QL, labels,
-//      meta-edges, and masks from those depths — bit-identical to a fresh
-//      BFS, because every derived quantity is a function of exact depths.
-//   3. Consolidation (delete-dirty columns): a full column rebuild
-//      (RebuildLabelColumn). With UpdateOptions::consolidate = false the
-//      rebuild is deferred SVS-style — the column serves stale answers
-//      until Consolidate() runs — so deletion-heavy churn can amortize
-//      rebuilds. QbsIndex::ApplyUpdates defaults to eager consolidation
-//      (the index is exact when it returns).
+//   1. Depths, increase pass (Ramalingam–Reps), on the new graph with the
+//      batch's inserts ignored. A deleted parent edge (depths differing by
+//      one) orphans its deeper end unless that vertex keeps another parent
+//      one level up; orphans orphan the children they leave parentless,
+//      level by level. Only orphans' depths grow. A bucket queue then
+//      settles them from their surviving neighbours (or leaves them
+//      unreachable).
+//   2. Depths, decrease pass, over the inserts: a multi-source bucket
+//      queue seeded at each inserted edge's deeper end. Exact because pass
+//      1 left depths exact on the graph without the inserts.
+//   3. Derived values (RepairLabelColumn), in depth order: every moved
+//      vertex, every neighbour that reads one, and every edit endpoint get
+//      their QL flag, label, meta-edge, S^{-1} and S^0 recomputed with the
+//      full pass's recurrences (a level's S^{-1} before its S^0); a vertex
+//      hands work to its children only when one of its values changed, and
+//      to its same-level neighbours only when its S^{-1} changed.
 //
-// The meta-graph is rebuilt from the per-column meta lists each batch
-// (|R|^2 edges — negligible); with deferred columns in play, conflicting
-// stale weights resolve to the minimum, restored exactly on consolidation.
+// A column still runs a full pass only where that is the definition:
+//   - InitUpdatableState (no depths exist yet);
+//   - a dirty (deferred) column, rebuilt by RebuildLabelColumn;
+//   - an edit at the root that changes S_r, the root's first 64
+//     non-landmark neighbours: that renumbers the mask bits, so the column
+//     falls back to RederiveLabelColumn over the repaired depths.
+// With UpdateOptions::consolidate = false, a column is deferred SVS-style
+// when it is already dirty or when a delete in the batch cuts one of its
+// parent edges (pre-batch depths differ); it serves stale answers until
+// Consolidate() rebuilds it. QbsIndex::ApplyUpdates defaults to eager
+// consolidation (the index is exact when it returns).
+//
+// Cost per batch: O(changed region × degree) per column, where the changed
+// region is the moved vertices plus the vertices their changed values
+// reach, and an O(|V| + |E|) splice for each of G and G⁻ (SpliceEdges;
+// no sort). The meta-graph is rebuilt from the per-column meta lists each
+// batch (|R|^2 edges — negligible); with deferred columns in play,
+// conflicting stale weights resolve to the minimum, restored exactly on
+// consolidation.
 //
 // Concurrency: nothing here takes a lock, by design. ApplyUpdates mutates
 // the labelling in place and is serialized by the caller — the server
@@ -57,9 +65,11 @@
 namespace qbs {
 
 struct UpdateOptions {
-  /// Rebuild delete-dirty columns in this batch (true, the default: the
-  /// index is exact when ApplyUpdates returns) or defer them SVS-style
-  /// until Consolidate() (false: dirty columns serve stale answers).
+  /// Repair every column in this batch, rebuilding any left dirty by an
+  /// earlier deferred batch (true, the default: the index is exact when
+  /// ApplyUpdates returns), or defer the dirty columns and those whose
+  /// parent edges a delete cuts SVS-style until Consolidate() (false:
+  /// dirty columns serve stale answers).
   bool consolidate = true;
   /// Column repair/rebuild threads: 0 = all hardware threads.
   size_t num_threads = 0;
@@ -74,9 +84,11 @@ struct UpdateStats {
   /// out-of-range endpoint), skipped.
   uint64_t noop_updates = 0;
   uint64_t invalid_updates = 0;
-  /// Columns repaired by partial BFS + rederivation (insert-affected).
+  /// Columns the edit-local repair changed (depths, labels, masks or
+  /// meta-edges).
   uint32_t repaired_columns = 0;
-  /// Columns rebuilt from scratch (delete-dirty, eager consolidation).
+  /// Columns that ran a full pass: dirty columns rebuilt by eager
+  /// consolidation, and columns rederived after their S_r changed.
   uint32_t rebuilt_columns = 0;
   /// Columns left dirty for a later Consolidate() (consolidate = false).
   uint32_t deferred_columns = 0;
@@ -90,7 +102,7 @@ struct UpdateStats {
 struct UpdatableState {
   std::vector<LabelColumnState> columns;
   /// dirty[i] != 0: column i's labels/masks/meta/depths are stale (a
-  /// deferred delete); every detection short-circuits to "rebuild".
+  /// deferred delete); the column is rebuilt, never repaired.
   std::vector<uint8_t> dirty;
 
   bool HasDirty() const {
@@ -109,11 +121,12 @@ void InitUpdatableState(const Graph& g, PathLabeling& labeling,
                         UpdatableState* state, size_t num_threads);
 
 /// Applies an already-computed net change set to the labelling. `new_graph`
-/// must be the post-edit graph (ApplyNetChanges); detection reads the OLD
-/// depths/masks still held in `state`/`labeling`. Repairs or rebuilds every
-/// affected column in parallel, rewrites the meta-graph, and updates
-/// `state` in place. Returns the column-level stats (the applied/noop
-/// script counters are the caller's, from ComputeNetChanges).
+/// must be the post-edit graph (ApplyNetChanges); the repair starts from
+/// the OLD depths/labels/masks still held in `state`/`labeling`. Repairs
+/// (or rebuilds / defers, see above) every column in parallel, rewrites
+/// the meta-graph, and updates `state` in place. Returns the column-level
+/// stats (the applied/noop script counters are the caller's, from
+/// ComputeNetChanges).
 UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
                                PathLabeling* labeling, MetaGraph* meta,
                                UpdatableState* state,

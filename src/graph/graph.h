@@ -48,6 +48,11 @@ struct Edge {
   }
 };
 
+/// Declared here so the edit splice (graph/graph_delta.h, where the full
+/// contract lives) can adopt the CSR it builds without a validation pass.
+Graph SpliceEdges(const Graph& base, std::span<const Edge> inserts,
+                  std::span<const Edge> deletes);
+
 class Graph {
  public:
   /// Empty graph.
@@ -119,11 +124,14 @@ class Graph {
   /// FromCsr without the invariant CHECKs. Reserved for the cache loader,
   /// which just ran the equivalent graceful validation on the same arrays
   /// (a second O(|V| + |E|) pass per load would cancel much of the cache's
-  /// point on billion-edge graphs).
+  /// point on billion-edge graphs), and for the edit splice, whose merge
+  /// preserves the invariants of the graph it starts from.
   static Graph AdoptCsr(std::vector<uint64_t> offsets,
                         std::vector<VertexId> adjacency);
   friend std::optional<Graph> LoadGraphCache(const std::string& path,
                                              DatasetCacheInfo* info);
+  friend Graph SpliceEdges(const Graph& base, std::span<const Edge> inserts,
+                           std::span<const Edge> deletes);
 
   /// CSR arrays: neighbors of v are adjacency_[offsets_[v] .. offsets_[v+1]).
   std::vector<uint64_t> offsets_;

@@ -5,8 +5,8 @@
 // a batch layer instead of per-edge mutation: callers record an ordered
 // script of edge insertions and deletions in a GraphDelta, the net effect
 // against a concrete base graph is computed with set semantics
-// (ComputeNetChanges), and a fresh CSR is materialized once per batch
-// (ApplyNetChanges). QbsIndex::ApplyUpdates drives this to repair its
+// (ComputeNetChanges), and the edits are spliced into a fresh CSR once per
+// batch (ApplyNetChanges). QbsIndex::ApplyUpdates drives this to repair its
 // labelling incrementally — see core/updatable_index.h.
 //
 // Script semantics (applied in order against the evolving edge set):
@@ -21,6 +21,7 @@
 #define QBS_GRAPH_GRAPH_DELTA_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -90,9 +91,18 @@ struct NetChanges {
 /// `invalid` and skipped.
 NetChanges ComputeNetChanges(const Graph& base, const GraphDelta& delta);
 
+/// Splices edge edits into a CSR: returns `base` minus `deletes` plus
+/// `inserts`, same vertex count. Both lists must be normalized and sorted,
+/// every delete present in `base` and every insert absent (CHECK-enforced
+/// at the vertices they touch). Unedited vertices' adjacency is copied in
+/// blocks and only edited lists are merged — O(|V| + |E|) with no sort —
+/// and the result is bit-identical to Graph::FromEdges of the edited edge
+/// list.
+Graph SpliceEdges(const Graph& base, std::span<const Edge> inserts,
+                  std::span<const Edge> deletes);
+
 /// Materializes the updated graph: base edges minus `net.deletes` plus
-/// `net.inserts`, same vertex count, rebuilt as a packed CSR via
-/// Graph::FromEdges. O(|E| log |E|) — batched, not per-edge.
+/// `net.inserts`, via SpliceEdges.
 Graph ApplyNetChanges(const Graph& base, const NetChanges& net);
 
 }  // namespace qbs

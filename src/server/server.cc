@@ -611,14 +611,18 @@ bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta,
   {
     // Writer side: queries drain, the delta applies, and the cache is
     // cleared before any reader can run again — so no answer computed (or
-    // cached) against the pre-update index is ever served afterwards.
+    // cached) against the pre-update index is ever served afterwards. An
+    // empty-net frame can still change the labelling: it consolidates
+    // columns deferred by earlier frames.
     // ApplyUpdates schedules pool work while this is held — legal because
     // the pool ranks (kThreadPool*) sit above kIndex.
     WriterLock write_lock(index_mu_);
     UpdateOptions opt;
     opt.consolidate = (flags & kUpdateFlagDefer) == 0;
     stats = index_.ApplyUpdates(delta, opt);
-    if (stats.AppliedTotal() > 0) cache_.Clear();
+    if (stats.AppliedTotal() > 0 || stats.rebuilt_columns > 0) {
+      cache_.Clear();
+    }
   }
   updates_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<uint8_t> payload = EncodeUpdateResponse(stats);

@@ -1,8 +1,14 @@
-// The dynamic-index gauntlet: random edit scripts against
-// QbsIndex::ApplyUpdates must leave the index bit-identical to a
-// from-scratch build on the updated graph — labels, bit-parallel masks,
-// meta-graph, and answers (SameAnswer on sampled pairs, including d <= 2
-// pairs that exercise the mask fast path).
+// The dynamic-index gauntlet: edit scripts against QbsIndex::ApplyUpdates
+// must leave the index bit-identical to a from-scratch build on the
+// updated graph — labels, bit-parallel masks, meta-graph, the sparsified
+// graph G⁻, and answers (SameAnswer on sampled pairs, including d <= 2
+// pairs that exercise the mask fast path). Each seed runs a 25-batch
+// sequence on one index, so every batch starts from repaired state, and
+// rotates through script kinds aimed at the repair's hard cases: random
+// mixes, edits at landmark roots (including ones that renumber S_r), and
+// deletes that cut a subtree off followed by inserts that reconnect it.
+// A second gauntlet drives ApplyNetToLabeling on a standalone
+// UpdatableState and checks every stored column depth against a BFS.
 //
 // The labelling is uniquely determined by (G, R) (Lemma 5.2), which is
 // what makes bit-identity a legitimate oracle: same updated graph, same
@@ -13,6 +19,7 @@
 // default to 1..16 locally. Every seed is printed, so any failure line is
 // directly replayable with QBS_DYNAMIC_SEEDS=<seed>.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -24,8 +31,11 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
+#include "core/guided_search.h"
 #include "core/qbs_index.h"
+#include "core/updatable_index.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "graph/graph_delta.h"
 #include "workload/query_workload.h"
 
@@ -52,15 +62,23 @@ std::vector<uint64_t> GauntletSeeds() {
 }
 
 Graph MakeFamilyGraph(uint64_t seed) {
-  switch (seed % 3) {
+  switch (seed % 4) {
     case 0:
       return BarabasiAlbert(220, 3, seed);
     case 1:
       return WattsStrogatz(180, 4, 0.1, seed);
-    default:
+    case 2:
       // Raw G(n, m), possibly disconnected — exercises the unreachable
-      // paths of detection and repair.
+      // paths of the repair.
       return ErdosRenyi(200, 380, seed);
+    default: {
+      // G(n, m) plus a hub with 120 neighbours: the hub is a landmark whose
+      // S_r (first 64 non-landmark neighbours) leaves neighbours out, so
+      // root edits both renumber S_r and leave it alone.
+      std::vector<Edge> edges = ErdosRenyi(200, 380, seed).EdgeList();
+      for (VertexId v = 1; v <= 120; ++v) edges.emplace_back(0, v);
+      return Graph::FromEdges(200, std::move(edges));
+    }
   }
 }
 
@@ -84,6 +102,114 @@ GraphDelta RandomScript(const Graph& g, std::mt19937_64& rng, size_t ops) {
     }
   }
   return delta;
+}
+
+// Edits at landmark roots: deletes of root edges into S_r (renumbering its
+// bits), inserts of root edges (renumbering S_r when the new neighbour's id
+// falls inside it), and same-level edits between two S_r members.
+GraphDelta RootScript(const Graph& g, const std::vector<VertexId>& landmarks,
+                      std::mt19937_64& rng, size_t ops) {
+  std::uniform_int_distribution<VertexId> vtx(0, g.NumVertices() - 1);
+  GraphDelta delta;
+  for (size_t i = 0; i < ops; ++i) {
+    const VertexId r = landmarks[rng() % landmarks.size()];
+    std::vector<VertexId> first;  // the root's first 64 non-landmarks
+    for (VertexId w : g.Neighbors(r)) {
+      if (std::find(landmarks.begin(), landmarks.end(), w) !=
+          landmarks.end()) {
+        continue;
+      }
+      first.push_back(w);
+      if (first.size() == 64) break;
+    }
+    const uint64_t roll = rng() % 3;
+    if (roll == 0 && !first.empty()) {
+      delta.Delete(r, first[rng() % first.size()]);
+    } else if (roll == 1 && first.size() >= 2) {
+      const VertexId a = first[rng() % first.size()];
+      const VertexId b = first[rng() % first.size()];
+      if (g.HasEdge(a, b)) {
+        delta.Delete(a, b);
+      } else {
+        delta.Insert(a, b);
+      }
+    } else {
+      delta.Insert(r, vtx(rng));
+    }
+  }
+  return delta;
+}
+
+// The closed neighbourhood of a random low-degree vertex, or nothing.
+std::vector<VertexId> PickBall(const Graph& g, std::mt19937_64& rng) {
+  for (int tries = 0; tries < 100; ++tries) {
+    const auto x = static_cast<VertexId>(rng() % g.NumVertices());
+    if (g.Degree(x) == 0 || g.Degree(x) > 4) continue;
+    std::vector<VertexId> ball(g.Neighbors(x).begin(), g.Neighbors(x).end());
+    ball.push_back(x);
+    std::sort(ball.begin(), ball.end());
+    return ball;
+  }
+  return {};
+}
+
+// Deletes every edge leaving `ball`: the ball's vertices are orphaned and,
+// unless a landmark is inside, become unreachable from every root.
+GraphDelta CutScript(const Graph& g, const std::vector<VertexId>& ball) {
+  GraphDelta delta;
+  for (const VertexId x : ball) {
+    for (VertexId w : g.Neighbors(x)) {
+      if (!std::binary_search(ball.begin(), ball.end(), w)) delta.Delete(x, w);
+    }
+  }
+  return delta;
+}
+
+// Reconnects a cut-off ball with a few edges to random outside vertices.
+GraphDelta ReconnectScript(const Graph& g, const std::vector<VertexId>& ball,
+                           std::mt19937_64& rng) {
+  GraphDelta delta;
+  for (int i = 0; i < 2; ++i) {
+    delta.Insert(ball[rng() % ball.size()],
+                 static_cast<VertexId>(rng() % g.NumVertices()));
+  }
+  return delta;
+}
+
+// The script for batch `batch` of a sequence, rotating through the kinds.
+// A cut batch remembers its ball so the next batch reconnects it; half the
+// cut batches also reconnect inside the same batch.
+GraphDelta SequenceScript(const Graph& g,
+                          const std::vector<VertexId>& landmarks, int batch,
+                          std::mt19937_64& rng, std::vector<VertexId>* ball) {
+  switch (batch % 4) {
+    case 0:
+      return RandomScript(g, rng, 10);
+    case 1:
+      return RootScript(g, landmarks, rng, 6);
+    case 2: {
+      *ball = PickBall(g, rng);
+      if (ball->empty()) return RandomScript(g, rng, 10);
+      GraphDelta delta = CutScript(g, *ball);
+      if (rng() % 2 == 0) {
+        const GraphDelta reconnect = ReconnectScript(g, *ball, rng);
+        for (const EdgeUpdate& u : reconnect.updates()) delta.Add(u);
+      }
+      return delta;
+    }
+    default:
+      if (ball->empty()) return RandomScript(g, rng, 10);
+      return ReconnectScript(g, *ball, rng);
+  }
+}
+
+void AssertSameCsr(const Graph& got, const Graph& want) {
+  ASSERT_TRUE(std::equal(got.RawOffsets().begin(), got.RawOffsets().end(),
+                         want.RawOffsets().begin(), want.RawOffsets().end()));
+  ASSERT_TRUE(std::equal(got.RawAdjacency().begin(),
+                         got.RawAdjacency().end(),
+                         want.RawAdjacency().begin(),
+                         want.RawAdjacency().end()));
 }
 
 void AssertSameScheme(const Graph& g, const QbsIndex& updated,
@@ -135,6 +261,8 @@ void AssertSameAnswers(const Graph& g, QbsIndex& updated, QbsIndex& fresh,
   }
 }
 
+constexpr int kSequenceBatches = 25;
+
 TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
   for (const uint64_t seed : GauntletSeeds()) {
     std::mt19937_64 rng(seed);
@@ -142,23 +270,84 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
     QbsOptions options;
     options.num_landmarks = 8;
     options.num_threads = 2;
-    options.bit_parallel = seed % 2 == 0;
+    // Alternates with the family (seed % 4), so every family runs both.
+    options.bit_parallel = (seed / 4) % 2 == 0;
     std::printf("[gauntlet] seed=%" PRIu64 " family=%" PRIu64 " bp=%d\n",
-                seed, seed % 3, options.bit_parallel ? 1 : 0);
+                seed, seed % 4, options.bit_parallel ? 1 : 0);
     QbsIndex index = QbsIndex::Build(g, options);
     index.EnableUpdates(&g, 2);
     const std::vector<VertexId> landmarks = index.landmarks();
 
-    for (int batch = 0; batch < 3; ++batch) {
-      const GraphDelta delta = RandomScript(g, rng, 10);
+    std::vector<VertexId> ball;
+    for (int batch = 0; batch < kSequenceBatches; ++batch) {
+      const GraphDelta delta = SequenceScript(g, landmarks, batch, rng, &ball);
       index.ApplyUpdates(delta);
       ASSERT_FALSE(index.HasDirtyColumns());  // eager by default
       QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
       AssertSameScheme(g, index, fresh);
+      AssertSameCsr(index.sparsified_graph(),
+                    MakeSparsifiedGraph(g, index.labeling()));
       AssertSameAnswers(g, index, fresh, rng);
       if (::testing::Test::HasFatalFailure()) {
-        return;  // the printed seed line identifies the failing script
+        // The printed seed line identifies the failing sequence.
+        std::printf("[gauntlet] failed at batch %d\n", batch);
+        return;
       }
+    }
+  }
+}
+
+// The same sequences one layer down: ApplyNetToLabeling on a standalone
+// UpdatableState, whose stored depths must equal a BFS on the edited graph
+// after every batch — and whose labelling must equal a fresh build.
+TEST(DynamicUpdateTest, ColumnDepthsStayExact) {
+  for (const uint64_t seed : GauntletSeeds()) {
+    std::mt19937_64 rng(seed + 1000);
+    Graph g = MakeFamilyGraph(seed);
+    LabelingBuildOptions build;
+    build.num_threads = 2;
+    build.bit_parallel = (seed / 4) % 2 != 0;  // the other half of the pair
+    std::printf("[depths] seed=%" PRIu64 " family=%" PRIu64 " bp=%d\n", seed,
+                seed % 4, build.bit_parallel ? 1 : 0);
+    const std::vector<VertexId> landmarks =
+        SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, seed);
+    LabelingScheme scheme = BuildLabelingScheme(g, landmarks, build);
+    UpdatableState state;
+    InitUpdatableState(g, scheme.labeling, &state, 2);
+    UpdateOptions update;
+    update.num_threads = 2;
+
+    std::vector<VertexId> ball;
+    for (int batch = 0; batch < kSequenceBatches; ++batch) {
+      const GraphDelta delta = SequenceScript(g, landmarks, batch, rng, &ball);
+      const NetChanges net = ComputeNetChanges(g, delta);
+      if (net.EmptyNet()) continue;
+      g = ApplyNetChanges(g, net);
+      ApplyNetToLabeling(g, net, &scheme.labeling, &scheme.meta, &state,
+                         update);
+      for (size_t i = 0; i < landmarks.size(); ++i) {
+        ASSERT_EQ(state.columns[i].depth, BfsDistances(g, landmarks[i]))
+            << "depths of column " << i << " at batch " << batch;
+      }
+      const LabelingScheme fresh = BuildLabelingScheme(g, landmarks, build);
+      for (VertexId v = 0; v < g.NumVertices(); ++v) {
+        for (uint32_t i = 0; i < landmarks.size(); ++i) {
+          ASSERT_EQ(scheme.labeling.Get(v, i), fresh.labeling.Get(v, i))
+              << "label at v=" << v << " column " << i << " batch " << batch;
+          if (build.bit_parallel) {
+            ASSERT_EQ(scheme.labeling.GetBpMask(v, i),
+                      fresh.labeling.GetBpMask(v, i))
+                << "mask at v=" << v << " column " << i << " batch " << batch;
+          }
+        }
+      }
+      if (build.bit_parallel) {
+        for (uint32_t i = 0; i < landmarks.size(); ++i) {
+          ASSERT_EQ(scheme.labeling.BpSelected(i),
+                    fresh.labeling.BpSelected(i));
+        }
+      }
+      ASSERT_EQ(scheme.meta.Edges(), fresh.meta.Edges()) << "batch " << batch;
     }
   }
 }

@@ -1,8 +1,10 @@
 // GraphDelta / ComputeNetChanges / ApplyNetChanges semantics: script-order
 // evaluation, no-op and invalid accounting, insert/delete cancellation,
-// normalization, and CSR materialization.
+// normalization, and CSR materialization — the edit splice must give the
+// exact arrays Graph::FromEdges builds from the edited edge list.
 
 #include <algorithm>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,6 +127,80 @@ TEST(GraphDeltaTest, EmptyDeltaIsEmptyNet) {
   EXPECT_TRUE(net.EmptyNet());
   const Graph updated = ApplyNetChanges(g, net);
   EXPECT_EQ(updated.EdgeList(), g.EdgeList());
+}
+
+// The canonical CSR of `base`'s edges minus `deletes` plus `inserts`.
+Graph RebuiltFromEdges(const Graph& base, const std::vector<Edge>& inserts,
+                       const std::vector<Edge>& deletes) {
+  std::vector<Edge> edges;
+  for (const Edge& e : base.EdgeList()) {
+    if (!std::binary_search(deletes.begin(), deletes.end(), e)) {
+      edges.push_back(e);
+    }
+  }
+  edges.insert(edges.end(), inserts.begin(), inserts.end());
+  return Graph::FromEdges(base.NumVertices(), std::move(edges));
+}
+
+void ExpectSameCsr(const Graph& got, const Graph& want) {
+  ASSERT_EQ(got.NumVertices(), want.NumVertices());
+  EXPECT_TRUE(std::equal(got.RawOffsets().begin(), got.RawOffsets().end(),
+                         want.RawOffsets().begin(), want.RawOffsets().end()));
+  EXPECT_TRUE(std::equal(got.RawAdjacency().begin(),
+                         got.RawAdjacency().end(),
+                         want.RawAdjacency().begin(),
+                         want.RawAdjacency().end()));
+}
+
+TEST(GraphDeltaTest, SpliceMatchesFromEdgesAtListBoundaries) {
+  // Vertex 9 (= |V| - 1) starts isolated; vertex 1 has the single
+  // neighbour 2.
+  const Graph g = Graph::FromEdges(
+      10, {{0, 3}, {0, 5}, {1, 2}, {2, 5}, {2, 7}, {3, 4}, {4, 8}, {5, 6},
+           {6, 8}});
+  GraphDelta delta;
+  delta.Insert(0, 9);  // edits at vertex 0 and at |V| - 1; 9 was isolated
+  delta.Delete(1, 2);  // empties 1's list
+  delta.Insert(8, 3);  // front of 8's list {4, 6}
+  delta.Insert(4, 9);  // back of 4's list {3, 8}
+  delta.Insert(0, 1);  // front of 0's list; 1's list refills
+  delta.Delete(5, 6);  // middle of 5's list
+  const NetChanges net = ComputeNetChanges(g, delta);
+  ASSERT_EQ(net.inserts.size(), 4u);
+  ASSERT_EQ(net.deletes.size(), 2u);
+  ExpectSameCsr(ApplyNetChanges(g, net),
+                RebuiltFromEdges(g, net.inserts, net.deletes));
+
+  // Emptying the first and last lists entirely.
+  const Graph star = Graph::FromEdges(4, {{0, 3}});
+  const std::vector<Edge> cut = {{0, 3}};
+  const Graph empty = SpliceEdges(star, {}, cut);
+  ExpectSameCsr(empty, RebuiltFromEdges(star, {}, cut));
+  EXPECT_EQ(empty.NumEdges(), 0u);
+  // Refilling them from nothing.
+  ExpectSameCsr(SpliceEdges(empty, cut, {}), star);
+}
+
+TEST(GraphDeltaTest, SpliceMatchesFromEdgesOnRandomBatches) {
+  Graph g = BarabasiAlbert(300, 3, 17);
+  std::mt19937_64 rng(17);
+  std::uniform_int_distribution<VertexId> vtx(0, g.NumVertices() - 1);
+  for (int round = 0; round < 40; ++round) {
+    GraphDelta delta;
+    const std::vector<Edge> edges = g.EdgeList();
+    for (int op = 0; op < 24; ++op) {
+      if (rng() % 2 == 0) {
+        delta.Insert(vtx(rng), vtx(rng));
+      } else {
+        const Edge& e = edges[rng() % edges.size()];
+        delta.Delete(e.u, e.v);
+      }
+    }
+    const NetChanges net = ComputeNetChanges(g, delta);
+    Graph spliced = ApplyNetChanges(g, net);
+    ExpectSameCsr(spliced, RebuiltFromEdges(g, net.inserts, net.deletes));
+    g = std::move(spliced);
+  }
 }
 
 }  // namespace

@@ -163,6 +163,63 @@ TEST_F(ServerUpdateTest, DeferredUpdateReportsDeferredColumns) {
   EXPECT_FALSE(index_->HasDirtyColumns());
 }
 
+// An empty-net frame that consolidates deferred columns changes the
+// labelling, so answers cached against the deferred (stale) index must go.
+TEST_F(ServerUpdateTest, ConsolidationInvalidatesStaleCache) {
+  // Find, on private twins, a delete at landmark 0 whose deferred index
+  // answers some pair differently from a fresh build — the answer the
+  // daemon will cache.
+  const VertexId root = index_->landmarks()[0];
+  std::optional<Edge> victim;
+  QueryRequest request;
+  for (const VertexId x : g_.Neighbors(root)) {
+    Graph twin_graph = g_;
+    QbsIndex twin =
+        QbsIndex::BuildWithLandmarks(twin_graph, index_->landmarks());
+    twin.EnableUpdates(&twin_graph);
+    GraphDelta del;
+    del.Delete(root, x);
+    UpdateOptions defer;
+    defer.consolidate = false;
+    twin.ApplyUpdates(del, defer);
+    QbsIndex fresh =
+        QbsIndex::BuildWithLandmarks(twin_graph, index_->landmarks());
+    for (VertexId v = 0; v < g_.NumVertices() && !victim; ++v) {
+      request.u = x;
+      request.v = v;
+      if (!SameAnswer(twin.Query(request), fresh.Query(request))) {
+        victim = Edge(root, x);
+      }
+    }
+    if (victim) break;
+  }
+  ASSERT_TRUE(victim.has_value()) << "no delete leaves a stale answer";
+
+  auto server = StartUpdatable();
+  QueryClient client = ConnectTo(*server);
+  GraphDelta del;
+  del.Delete(victim->u, victim->v);
+  UpdateStats stats;
+  ASSERT_EQ(client.Update(del, &stats, kUpdateFlagDefer),
+            QueryClient::RpcStatus::kOk);
+  ASSERT_GT(stats.deferred_columns, 0u);
+  QueryResponse stale;
+  ASSERT_EQ(client.Query(request, &stale), QueryClient::RpcStatus::kOk);
+  QbsIndex fresh = QbsIndex::BuildWithLandmarks(g_, index_->landmarks());
+  const QueryResponse want = fresh.Query(request);
+  EXPECT_FALSE(SameAnswer(stale, want));  // cached from the deferred index
+
+  GraphDelta none;
+  none.Delete(victim->u, victim->v);  // already gone: an empty net
+  ASSERT_EQ(client.Update(none, &stats), QueryClient::RpcStatus::kOk);
+  EXPECT_EQ(stats.AppliedTotal(), 0u);
+  EXPECT_GT(stats.rebuilt_columns, 0u);
+  QueryResponse after;
+  ASSERT_EQ(client.Query(request, &after), QueryClient::RpcStatus::kOk);
+  EXPECT_FALSE(after.cache_hit);
+  EXPECT_TRUE(SameAnswer(after, want));
+}
+
 // Query + update churn: reader/writer locking must keep every served
 // answer exact for its graph version. The toggled edge lives between two
 // otherwise-isolated extra vertices, so the probed pairs' answers are
