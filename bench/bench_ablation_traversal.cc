@@ -87,82 +87,6 @@ void Run() {
   table.Footer();
 }
 
-// Bit-parallel mask ablation: the same index built with the fused mask
-// construction (S^{-1} propagated inside the labelling BFS), with the
-// two-sweep replay reference, and without masks entirely. Reports the
-// fused-vs-replay construction times (both "(s)" columns, so the CI
-// bench_compare gate watches them), per-query latency with and without
-// masks, the label fast-path hit rate, the frontier vertices the
-// mask-guided lower bound pruned per query, and the mask matrix size —
-// the full price/benefit picture of the feature.
-void RunBitParallelAblation() {
-  std::printf("Bit-parallel label masks: fused vs replay vs off, |R| = 20, "
-              "%zu pairs\n",
-              EnvPairs());
-  TablePrinter table("Bit-parallel ablation",
-                     {"Dataset", "b.fused(s)", "b.replay(s)", "b.nobp(s)",
-                      "f.spd", "q.bp(ms)", "q.nobp(ms)", "spdup", "hit2(%)",
-                      "prune/q", "size.BP"},
-                     {12, 11, 12, 10, 7, 10, 11, 7, 8, 9, 10});
-  for (const auto& ref : SelectedBenchDatasets()) {
-    const LoadedDataset d = LoadDataset(ref);
-    const Graph& g = d.graph;
-
-    QbsOptions on;
-    on.num_landmarks = 20;
-    on.num_threads = EnvThreads();
-    QbsOptions replay = on;
-    replay.bp_fused = false;
-    QbsOptions off = on;
-    off.bit_parallel = false;
-    QbsIndex qbs_on = QbsIndex::Build(g, on);
-    QbsIndex qbs_replay = QbsIndex::Build(g, replay);
-    QbsIndex qbs_off = QbsIndex::Build(g, off);
-
-    // Untimed warmup per index so neither configuration is charged for
-    // cold caches.
-    const size_t warmup = std::min<size_t>(d.pairs.size(), 128);
-    for (size_t i = 0; i < warmup; ++i) {
-      qbs_on.Query(d.pairs[i].u, d.pairs[i].v);
-    }
-    SearchStats agg;
-    WallTimer timer;
-    for (const auto& [u, v] : d.pairs) {
-      SearchStats stats;
-      qbs_on.Query(u, v, &stats);
-      agg.Accumulate(stats);
-    }
-    const double q_on = timer.ElapsedMillis() / d.pairs.size();
-
-    for (size_t i = 0; i < warmup; ++i) {
-      qbs_off.Query(d.pairs[i].u, d.pairs[i].v);
-    }
-    timer.Reset();
-    for (const auto& [u, v] : d.pairs) {
-      SearchStats stats;
-      qbs_off.Query(u, v, &stats);
-    }
-    const double q_off = timer.ElapsedMillis() / d.pairs.size();
-
-    const double hit2 =
-        100.0 * static_cast<double>(agg.label_short_circuits) /
-        static_cast<double>(d.pairs.size());
-    const double b_fused = qbs_on.timings().labeling_seconds;
-    const double b_replay = qbs_replay.timings().labeling_seconds;
-    table.Row({d.spec.abbrev, FormatSeconds(b_fused), FormatSeconds(b_replay),
-               FormatSeconds(qbs_off.timings().labeling_seconds),
-               FormatDouble(b_fused > 0 ? b_replay / b_fused : 0.0, 2),
-               FormatMs(q_on), FormatMs(q_off),
-               FormatDouble(q_on > 0 ? q_off / q_on : 0.0, 2),
-               FormatDouble(hit2, 1),
-               FormatDouble(static_cast<double>(agg.lb_prunes) /
-                                static_cast<double>(d.pairs.size()),
-                            1),
-               HumanBytes(qbs_on.BpMaskSizeBytes())});
-  }
-  table.Footer();
-}
-
 // Label-scan kernel ablation: the per-query fused row merge (the dense
 // O(|R|) inner loop of ComputeLabelBound) timed per kernel — scalar
 // reference, the SIMD kernel the dispatcher picked for this CPU, and the
@@ -214,7 +138,7 @@ void RunLabelScanKernelAblation() {
     for (size_t r = 0; r < reps; ++r) {
       for (size_t i = 0; i < us.size(); ++i) {
         const LabelBound b =
-            ComputeLabelBoundRows(l, us[i], vs[i], kUnreachable, scalar_ops);
+            ComputeLabelBoundRows(l, us[i], vs[i], scalar_ops);
         sink[0] += b.lower + b.upper;
       }
     }
@@ -224,7 +148,7 @@ void RunLabelScanKernelAblation() {
     for (size_t r = 0; r < reps; ++r) {
       for (size_t i = 0; i < us.size(); ++i) {
         const LabelBound b =
-            ComputeLabelBoundRows(l, us[i], vs[i], kUnreachable, simd_ops);
+            ComputeLabelBoundRows(l, us[i], vs[i], simd_ops);
         sink[1] += b.lower + b.upper;
       }
     }
@@ -233,7 +157,7 @@ void RunLabelScanKernelAblation() {
     timer.Reset();
     for (size_t r = 0; r < reps; ++r) {
       ComputeLabelBoundRowsBatch(l, us.data(), vs.data(), us.size(),
-                                 kUnreachable, batch.data(), simd_ops);
+                                 batch.data(), simd_ops);
       for (const LabelBound& b : batch) sink[2] += b.lower + b.upper;
     }
     const double ms_batch = timer.ElapsedMillis();
@@ -309,7 +233,6 @@ void RunFrontierAblation() {
 int main(int argc, char** argv) {
   qbs::bench::InitBenchArgs(argc, argv);
   qbs::bench::Run();
-  qbs::bench::RunBitParallelAblation();
   qbs::bench::RunLabelScanKernelAblation();
   qbs::bench::RunFrontierAblation();
 }

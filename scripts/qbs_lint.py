@@ -10,11 +10,6 @@ alone cannot enforce:
   raw-mutex         std::mutex & friends live only in src/util/sync.h; all
                     other code takes the annotated wrappers, so clang
                     -Wthread-safety and the lock-rank checker see every lock.
-  deprecated-query  the [[deprecated]] pair-based QueryBatch overloads may
-                    only be called from their two sanctioned seams. Any new
-                    call site either trips -Werror=deprecated-declarations
-                    in CI or adds a suppression pragma — which this rule
-                    catches.
   unseeded-rng      no rand()/srand()/default-constructed engines in src/:
                     every random sequence must take an explicit seed so
                     failures replay (QBS_DYNAMIC_SEEDS et al.).
@@ -58,16 +53,12 @@ class Rule:
         scopes,
         exempt=(),
         description="",
-        match_in_strings=False,
     ):
         self.name = name
         self.pattern = re.compile(pattern)
         self.scopes = scopes  # repo-relative dir prefixes to scan
         self.exempt = set(exempt)  # repo-relative files never scanned
         self.description = description
-        # Pragmas carry their payload inside a string literal, so rules
-        # targeting them must match before string stripping.
-        self.match_in_strings = match_in_strings
 
 
 RULES = [
@@ -90,14 +81,6 @@ RULES = [
         scopes=("src",),
         exempt=("src/util/sync.h",),
         description="raw std synchronization outside src/util/sync.h",
-    ),
-    Rule(
-        "deprecated-query",
-        r"Wdeprecated-declarations",
-        scopes=("src", "tests", "bench", "tools", "examples"),
-        description="suppression of the deprecated pair-based QueryBatch "
-        "overloads outside the sanctioned seams",
-        match_in_strings=True,
     ),
     Rule(
         "unseeded-rng",
@@ -164,8 +147,7 @@ def scan_file(path, text, rules):
         if not line.strip():
             continue
         for rule in rules:
-            target = line if rule.match_in_strings else stripped
-            if rule.pattern.search(target):
+            if rule.pattern.search(stripped):
                 violations.append((rule, lineno, raw.strip()))
     return violations
 

@@ -18,9 +18,6 @@ struct BfsScratch {
   std::vector<VertexId> cur_l, cur_n, next_l, next_n;
   // Frontier membership bitmaps, rebuilt only for bottom-up levels.
   Bitmap bits_l, bits_n;
-  // Every settled vertex in settle order (level-sorted: level d vertices
-  // all precede level d+1). The bit-parallel mask sweep replays it.
-  std::vector<VertexId> order;
   DirOptPolicy policy;
 };
 
@@ -34,7 +31,6 @@ inline void Settle(VertexId v, bool via_l, uint32_t next_depth,
                    const PathLabeling& labeling, LandmarkIndex i, DistT* col,
                    std::vector<MetaEdge>* meta_edges, BfsScratch* s) {
   s->depth[v] = next_depth;
-  s->order.push_back(v);
   if (!via_l) {
     s->next_n.push_back(v);
     return;
@@ -50,35 +46,13 @@ inline void Settle(VertexId v, bool via_l, uint32_t next_depth,
   }
 }
 
-// Top-down expansion of one frontier queue. With kBp, the expanding
-// vertex's (final) S^{-1} mask is ORed into every neighbour at the next
-// level — the scan already visits every parent edge, including those into
-// vertices another parent discovered first, so the fused propagation costs
-// no extra traversals. A zero mask propagates nothing and takes the plain
-// loop.
-template <bool kBp>
+// Top-down expansion of one frontier queue.
 void ExpandTopDown(const Graph& g, const PathLabeling& labeling,
                    LandmarkIndex i, DistT* col,
                    std::vector<MetaEdge>* meta_edges, BfsScratch* s,
-                   DirOptController* dir, [[maybe_unused]] BpMask* bp_col,
-                   const std::vector<VertexId>& frontier, bool via_l,
-                   uint32_t next_depth) {
+                   DirOptController* dir, const std::vector<VertexId>& frontier,
+                   bool via_l, uint32_t next_depth) {
   for (const VertexId u : frontier) {
-    if constexpr (kBp) {
-      const uint64_t mu = bp_col[u].s_minus;
-      if (mu != 0) {
-        for (VertexId v : g.Neighbors(u)) {
-          if (s->depth[v] == kUnreachable) {
-            Settle(v, via_l, next_depth, labeling, i, col, meta_edges, s);
-            dir->Scout(g.Degree(v));
-            bp_col[v].s_minus |= mu;
-          } else if (s->depth[v] == next_depth) {
-            bp_col[v].s_minus |= mu;
-          }
-        }
-        continue;
-      }
-    }
     for (VertexId v : g.Neighbors(u)) {
       if (s->depth[v] != kUnreachable) continue;
       Settle(v, via_l, next_depth, labeling, i, col, meta_edges, s);
@@ -94,47 +68,16 @@ void ExpandTopDown(const Graph& g, const PathLabeling& labeling,
 // neighbourhood for a QL parent first, then a QN parent), which preserves
 // the priority rule and cuts the per-landmark full-graph sweep — the
 // construction-time hot path (Fig. 10) — to a fraction of its edges.
-//
-// With kBp set, the BFS also builds this landmark's S^{-1} masks inline
-// (bp_col non-null, pre-zeroed, seeded here with the selected neighbours),
-// replacing the reference replay's full ~2|E| S^{-1} sweep:
-//   * top-down levels OR the expanding vertex's final mask into every
-//     neighbour at the next level — exactly the parent edges the replay
-//     sweep re-derives, at zero extra edge traversals;
-//   * bottom-up levels keep their first-parent early exit (the pull cannot
-//     collect every parent mask without forfeiting its main win) and
-//     instead scatter masks afterwards from the frontier vertices whose
-//     mask is nonzero. Masks are sparse — only <= 64 of a hub landmark's
-//     neighbours are seeded, and bits spread no faster than the seeds'
-//     neighbourhoods — so the scatter touches a small slice of the level's
-//     adjacency where the replay sweep re-scans all of it.
-// Level synchrony makes a level's masks final before the next level reads
-// them, which is what makes the inline propagation equal to the
-// level-ordered reference sweep bit for bit.
-template <bool kBp>
-void LabelFromLandmarkImpl(const Graph& g, const PathLabeling& labeling,
-                           LandmarkIndex i, DistT* col,
-                           std::vector<MetaEdge>* meta_edges, BfsScratch* s,
-                           BpMask* bp_col) {
+void LabelFromLandmark(const Graph& g, const PathLabeling& labeling,
+                       LandmarkIndex i, DistT* col,
+                       std::vector<MetaEdge>* meta_edges, BfsScratch* s) {
   const VertexId root = labeling.LandmarkVertex(i);
   const VertexId n = g.NumVertices();
   s->depth.assign(n, kUnreachable);
   s->cur_l.clear();
   s->cur_n.clear();
-  s->order.clear();
   s->depth[root] = 0;
-  s->order.push_back(root);
   s->cur_l.push_back(root);
-
-  if constexpr (kBp) {
-    // Seed bit j at u_j itself: d(u_j, u_j) = 0 = depth(u_j) - 1. All
-    // selected vertices are non-landmark neighbours of the root, so they
-    // settle at depth 1 and the seed is their whole mask.
-    const auto& selected = labeling.BpSelected(i);
-    for (size_t j = 0; j < selected.size(); ++j) {
-      bp_col[selected[j]].s_minus = 1ull << j;
-    }
-  }
 
   DirOptController dir(s->policy, n, g.NumEdges());
   dir.Scout(g.Degree(root));
@@ -169,60 +112,13 @@ void LabelFromLandmarkImpl(const Graph& g, const PathLabeling& labeling,
         Settle(v, via_l, next_depth, labeling, i, col, meta_edges, s);
         dir.Scout(g.Degree(v));
       }
-      if constexpr (kBp) {
-        // The early-exit pull saw only a fraction of the parent edges, so
-        // this level's S^{-1} still has to flow. Two exact ways to move it;
-        // pick the cheaper by adjacency volume (the masks' own
-        // direction-optimization):
-        //   scatter — from frontier vertices whose mask is nonzero (zero
-        //   masks propagate nothing; right after the seeds, that is a
-        //   handful of vertices);
-        //   gather — every just-settled vertex ORs its depth-(d-1)
-        //   neighbours (right when a small tail level hangs off a huge
-        //   frontier).
-        uint64_t vol_scatter = 0;
-        for (const VertexId w : s->cur_l) {
-          if (bp_col[w].s_minus != 0) vol_scatter += g.Degree(w);
-        }
-        for (const VertexId w : s->cur_n) {
-          if (bp_col[w].s_minus != 0) vol_scatter += g.Degree(w);
-        }
-        uint64_t vol_gather = 0;
-        for (const VertexId v : s->next_l) vol_gather += g.Degree(v);
-        for (const VertexId v : s->next_n) vol_gather += g.Degree(v);
-        if (vol_scatter <= vol_gather) {
-          auto scatter = [&](const std::vector<VertexId>& frontier) {
-            for (const VertexId w : frontier) {
-              const uint64_t m = bp_col[w].s_minus;
-              if (m == 0) continue;
-              for (VertexId v : g.Neighbors(w)) {
-                if (s->depth[v] == next_depth) bp_col[v].s_minus |= m;
-              }
-            }
-          };
-          scatter(s->cur_l);
-          scatter(s->cur_n);
-        } else {
-          auto gather = [&](const std::vector<VertexId>& settled) {
-            for (const VertexId v : settled) {
-              uint64_t m = 0;
-              for (VertexId w : g.Neighbors(v)) {
-                if (s->depth[w] == level) m |= bp_col[w].s_minus;
-              }
-              bp_col[v].s_minus |= m;  // |=: level-1 seeds must survive
-            }
-          };
-          gather(s->next_l);
-          gather(s->next_n);
-        }
-      }
     } else {
       // QL is expanded before QN at each level, so a vertex reachable both
       // ways at the same depth is classified QL.
-      ExpandTopDown<kBp>(g, labeling, i, col, meta_edges, s, &dir, bp_col,
-                         s->cur_l, /*via_l=*/true, next_depth);
-      ExpandTopDown<kBp>(g, labeling, i, col, meta_edges, s, &dir, bp_col,
-                         s->cur_n, /*via_l=*/false, next_depth);
+      ExpandTopDown(g, labeling, i, col, meta_edges, s, &dir, s->cur_l,
+                    /*via_l=*/true, next_depth);
+      ExpandTopDown(g, labeling, i, col, meta_edges, s, &dir, s->cur_n,
+                    /*via_l=*/false, next_depth);
     }
     std::swap(s->cur_l, s->next_l);
     std::swap(s->cur_n, s->next_n);
@@ -230,20 +126,10 @@ void LabelFromLandmarkImpl(const Graph& g, const PathLabeling& labeling,
   }
 }
 
-// Non-fused entry: the BFS alone. Mask columns are then filled by the
-// two-sweep replay (ComputeBpColumn) if requested.
-void LabelFromLandmark(const Graph& g, const PathLabeling& labeling,
-                       LandmarkIndex i, DistT* col,
-                       std::vector<MetaEdge>* meta_edges, BfsScratch* s) {
-  LabelFromLandmarkImpl<false>(g, labeling, i, col, meta_edges, s, nullptr);
-}
-
-// --- The per-vertex recurrences every labelling path shares. Each reads
-// only v's exact depth and its neighbours one level up (parents) or on its
-// own level, which is what lets the edit-local repair (RepairLabelColumn)
-// recompute single vertices and still match a full pass bit for bit.
-
-// The QL rule: v (depth >= 1) is first reached via QL iff some parent is QL.
+// The QL rule, as the edit-local repair (RepairLabelColumn) applies it to
+// single vertices: v (depth >= 1) is first reached via QL iff some parent
+// is QL. It reads only v's exact depth and its parents, which is what lets
+// the repair match a full pass bit for bit.
 template <class IsQl>
 bool HasQlParent(const Graph& g, const std::vector<uint32_t>& depth,
                  VertexId v, IsQl is_ql) {
@@ -253,169 +139,6 @@ bool HasQlParent(const Graph& g, const std::vector<uint32_t>& depth,
     if (depth[w] + 1 == d && is_ql(w)) return true;
   }
   return false;
-}
-
-// S^{-1} of v at depth >= 2: the union of its parents' S^{-1}.
-template <class MaskAt>
-uint64_t ParentSMinus(const Graph& g, const std::vector<uint32_t>& depth,
-                      VertexId v, MaskAt mask_at) {
-  const uint32_t d = depth[v];
-  uint64_t m = 0;
-  for (VertexId w : g.Neighbors(v)) {
-    if (depth[w] + 1 == d) m |= mask_at(w).s_minus;
-  }
-  return m;
-}
-
-// S^0 of v at depth >= 1: same-level neighbours' S^{-1} and parents' S^0,
-// minus v's own (final) S^{-1}.
-template <class MaskAt>
-uint64_t SZeroOf(const Graph& g, const std::vector<uint32_t>& depth,
-                 VertexId v, MaskAt mask_at) {
-  const uint32_t d = depth[v];
-  uint64_t z = 0;
-  for (VertexId w : g.Neighbors(v)) {
-    if (depth[w] == d) {
-      z |= mask_at(w).s_minus;
-    } else if (depth[w] + 1 == d) {
-      z |= mask_at(w).s_zero;
-    }
-  }
-  return z & ~mask_at(v).s_minus;
-}
-
-// Selects S_r for the landmark rooted at `root`: its first <= 64
-// non-landmark neighbours in adjacency (ascending id) order.
-std::vector<VertexId> SelectBpNeighbors(const Graph& g,
-                                        const PathLabeling& labeling,
-                                        VertexId root) {
-  std::vector<VertexId> selected;
-  for (VertexId w : g.Neighbors(root)) {
-    if (labeling.IsLandmark(w)) continue;
-    selected.push_back(w);
-    if (selected.size() == 64) break;
-  }
-  return selected;
-}
-
-// The S^0 gather kernel over order[begin, end): SZeroOf per vertex.
-// Requires parents' s_zero to be final, which the settle order guarantees
-// for both the full replay sweep and the fused path's per-level ranges —
-// keep SZeroOf the single definition of the recurrence, or the
-// fused-vs-replay and repair-vs-rebuild bit-identities break.
-void GatherBpSZero(const Graph& g, const std::vector<uint32_t>& depth,
-                   const std::vector<VertexId>& order, size_t begin,
-                   size_t end, BpMask* col) {
-  const auto mask_at = [col](VertexId w) -> const BpMask& { return col[w]; };
-  for (size_t idx = begin; idx < end; ++idx) {
-    const VertexId v = order[idx];
-    if (depth[v] == 0) continue;
-    col[v].s_zero = SZeroOf(g, depth, v, mask_at);
-  }
-}
-
-// The replay S^0 sweep (same-level masks are not final while a level
-// expands, so S^0 never fuses into the BFS itself): S^0 candidates come
-// from same-level neighbours' S^{-1} AND parents' S^0, replayed in settle
-// order so parents' S^0 is final before their children's, minus S^{-1}(v).
-void ComputeBpSZeroSweep(const Graph& g, const std::vector<uint32_t>& depth,
-                         const std::vector<VertexId>& order, BpMask* col) {
-  GatherBpSZero(g, depth, order, 0, order.size(), col);
-}
-
-// The fused-path S^0 sweep: per-level direction choice between the gather
-// above (every level vertex scans its adjacency) and zero-skipping
-// scatters (only vertices whose mask is nonzero push it — a zero mask
-// contributes nothing to any neighbour). Per level d of the level-sorted
-// settle order, scatter means:
-//   1. parents at d-1 with nonzero (finalized) S^0 push it to depth-d
-//      neighbours;
-//   2. level-d vertices with nonzero S^{-1} push it to same-depth
-//      neighbours;
-//   3. the level finalizes: s_zero &= ~s_minus.
-// Step 3 of level d-1 runs before step 1 of level d, so parents always
-// push finalized masks — the same ordering the settle-order gather relies
-// on, hence bit-identical results whichever direction each level picks.
-void ComputeBpSZeroFused(const Graph& g, const std::vector<uint32_t>& depth,
-                         const std::vector<VertexId>& order, BpMask* col) {
-  size_t prev_begin = 0;
-  size_t prev_end = 0;
-  size_t begin = 0;
-  while (begin < order.size()) {
-    const uint32_t d = depth[order[begin]];
-    size_t end = begin;
-    while (end < order.size() && depth[order[end]] == d) ++end;
-
-    uint64_t vol_gather = 0;
-    for (size_t idx = begin; idx < end; ++idx) {
-      vol_gather += g.Degree(order[idx]);
-    }
-    uint64_t vol_scatter = 0;
-    for (size_t idx = prev_begin; idx < prev_end; ++idx) {
-      if (col[order[idx]].s_zero != 0) vol_scatter += g.Degree(order[idx]);
-    }
-    for (size_t idx = begin; idx < end; ++idx) {
-      if (col[order[idx]].s_minus != 0) vol_scatter += g.Degree(order[idx]);
-    }
-
-    if (vol_scatter <= vol_gather) {
-      for (size_t idx = prev_begin; idx < prev_end; ++idx) {
-        const VertexId w = order[idx];
-        const uint64_t z = col[w].s_zero;
-        if (z == 0) continue;
-        for (VertexId v : g.Neighbors(w)) {
-          if (depth[v] == d) col[v].s_zero |= z;
-        }
-      }
-      for (size_t idx = begin; idx < end; ++idx) {
-        const VertexId w = order[idx];
-        const uint64_t m = col[w].s_minus;
-        if (m == 0) continue;
-        for (VertexId v : g.Neighbors(w)) {
-          if (depth[v] == d) col[v].s_zero |= m;
-        }
-      }
-      for (size_t idx = begin; idx < end; ++idx) {
-        const VertexId v = order[idx];
-        col[v].s_zero &= ~col[v].s_minus;
-      }
-    } else {
-      GatherBpSZero(g, depth, order, begin, end, col);
-    }
-    prev_begin = begin;
-    prev_end = end;
-    begin = end;
-  }
-}
-
-// Fills this landmark's mask column from the finished BFS (depth array +
-// level-sorted settle order). Two level-synchronous sweeps:
-//   S^{-1} flows down parent edges only (a shortest u_j..v path enters v
-//   through a predecessor w with depth(w) = depth(v) - 1 and
-//   d(u_j, w) = depth(w) - 1), seeded with bit j at the selected vertex
-//   u_j itself (d(u_j, u_j) = 0 = depth(u_j) - 1);
-//   S^{0} candidates come from same-level neighbours' S^{-1} AND parents'
-//   S^{0} (the predecessor of a length-depth(v) path sits at depth(v) - 1
-//   with d(u_j, w) = depth(w), or at depth(v) with d(u_j, w) =
-//   depth(w) - 1), minus S^{-1}(v) — both sources can also witness the
-//   one-closer distance.
-// Replaying the settle order keeps both sweeps in level order without
-// re-bucketing (parents' S^{0} is final before their children's), and
-// `col` slices a zero-initialized buffer, so unreached vertices keep empty
-// masks.
-void ComputeBpColumn(const Graph& g, const std::vector<VertexId>& selected,
-                     const std::vector<uint32_t>& depth,
-                     const std::vector<VertexId>& order, BpMask* col) {
-  if (selected.empty()) return;
-  for (size_t j = 0; j < selected.size(); ++j) {
-    col[selected[j]].s_minus = 1ull << j;
-  }
-  const auto mask_at = [col](VertexId w) -> const BpMask& { return col[w]; };
-  for (const VertexId v : order) {
-    if (depth[v] < 2) continue;  // root and level 1 are fully seeded above
-    col[v].s_minus = ParentSMinus(g, depth, v, mask_at);
-  }
-  ComputeBpSZeroSweep(g, depth, order, col);
 }
 
 }  // namespace
@@ -467,38 +190,6 @@ void PathLabeling::AssignFromColumns(const std::vector<DistT>& cols) {
   }
 }
 
-void PathLabeling::EnableBpMasks() {
-  bp_.assign(static_cast<size_t>(num_vertices_) * landmarks_.size(),
-             BpMask{});
-  bp_selected_.assign(landmarks_.size(), {});
-}
-
-void PathLabeling::SetBpSelected(LandmarkIndex i,
-                                 std::vector<VertexId> selected) {
-  QBS_CHECK_LE(selected.size(), 64u);
-  bp_selected_[i] = std::move(selected);
-}
-
-void PathLabeling::AssignBpFromColumns(const std::vector<BpMask>& cols) {
-  const size_t n = num_vertices_;
-  const size_t k = landmarks_.size();
-  QBS_CHECK_EQ(cols.size(), n * k);
-  QBS_CHECK_EQ(bp_.size(), n * k);
-  // A BpMask is 16 bytes, so a 32x32 tile spans 16KB per side.
-  constexpr size_t kTile = 32;
-  for (size_t v0 = 0; v0 < n; v0 += kTile) {
-    const size_t v1 = std::min(v0 + kTile, n);
-    for (size_t i0 = 0; i0 < k; i0 += kTile) {
-      const size_t i1 = std::min(i0 + kTile, k);
-      for (size_t v = v0; v < v1; ++v) {
-        for (size_t i = i0; i < i1; ++i) {
-          bp_[v * k + i] = cols[i * n + v];
-        }
-      }
-    }
-  }
-}
-
 LabelingScheme BuildLabelingScheme(const Graph& g,
                                    const std::vector<VertexId>& landmarks,
                                    const LabelingBuildOptions& options) {
@@ -514,51 +205,18 @@ LabelingScheme BuildLabelingScheme(const Graph& g,
   // One BFS per landmark. Each BFS streams labels into its own
   // landmark-major column and meta-edge lists are per-landmark, so workers
   // never contend; a single blocked transpose then fills the vertex-major
-  // query matrix. When bit-parallel masks are on, the finished BFS (depth
-  // array + settle order) feeds the mask sweeps before the worker moves on,
-  // into a mask column of the same landmark-major layout.
+  // query matrix.
   const size_t workers =
       std::min<size_t>(EffectiveThreads(options.num_threads), k);
   std::vector<BfsScratch> scratch(workers);
   std::vector<std::vector<MetaEdge>> local_meta(k);
   std::vector<DistT> cols(static_cast<size_t>(g.NumVertices()) * k, kInfDist);
-  std::vector<BpMask> bp_cols;
-  if (options.bit_parallel) {
-    scheme.labeling.EnableBpMasks();
-    bp_cols.assign(static_cast<size_t>(g.NumVertices()) * k, BpMask{});
-    for (LandmarkIndex i = 0; i < k; ++i) {
-      scheme.labeling.SetBpSelected(
-          i, SelectBpNeighbors(g, scheme.labeling, landmarks[i]));
-    }
-  }
-
   ParallelFor(k, workers, [&](size_t i, size_t worker) {
-    DistT* label_col =
-        cols.data() + i * static_cast<size_t>(g.NumVertices());
-    BpMask* bp_col =
-        options.bit_parallel
-            ? bp_cols.data() + i * static_cast<size_t>(g.NumVertices())
-            : nullptr;
-    if (options.bit_parallel && options.bp_fused) {
-      // Fused: the BFS propagates S^{-1} inline; S^0 follows by per-level
-      // zero-skipping scatters instead of a full replay sweep.
-      LabelFromLandmarkImpl<true>(g, scheme.labeling,
-                                  static_cast<LandmarkIndex>(i), label_col,
-                                  &local_meta[i], &scratch[worker], bp_col);
-      ComputeBpSZeroFused(g, scratch[worker].depth, scratch[worker].order,
-                          bp_col);
-      return;
-    }
     LabelFromLandmark(g, scheme.labeling, static_cast<LandmarkIndex>(i),
-                      label_col, &local_meta[i], &scratch[worker]);
-    if (options.bit_parallel) {
-      ComputeBpColumn(
-          g, scheme.labeling.BpSelected(static_cast<LandmarkIndex>(i)),
-          scratch[worker].depth, scratch[worker].order, bp_col);
-    }
+                      cols.data() + i * static_cast<size_t>(g.NumVertices()),
+                      &local_meta[i], &scratch[worker]);
   });
   scheme.labeling.AssignFromColumns(cols);
-  if (options.bit_parallel) scheme.labeling.AssignBpFromColumns(bp_cols);
 
   // Each meta-edge is discovered from both endpoints (the existence
   // condition is symmetric); keep one copy and let AddEdge cross-check the
@@ -578,90 +236,10 @@ void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,
   std::vector<DistT> col(n, kInfDist);
   std::vector<MetaEdge> meta;
   BfsScratch s;
-  if (labeling.has_bp_masks()) {
-    // S_r is an adjacency property, so edge edits at the root can change
-    // it — refresh before seeding.
-    labeling.SetBpSelected(
-        i, SelectBpNeighbors(g, labeling, labeling.LandmarkVertex(i)));
-    std::vector<BpMask> bp_col(n, BpMask{});
-    LabelFromLandmarkImpl<true>(g, labeling, i, col.data(), &meta, &s,
-                                bp_col.data());
-    ComputeBpSZeroFused(g, s.depth, s.order, bp_col.data());
-    for (VertexId v = 0; v < n; ++v) labeling.SetBpMask(v, i, bp_col[v]);
-  } else {
-    LabelFromLandmark(g, labeling, i, col.data(), &meta, &s);
-  }
+  LabelFromLandmark(g, labeling, i, col.data(), &meta, &s);
   for (VertexId v = 0; v < n; ++v) labeling.Set(v, i, col[v]);
   std::sort(meta.begin(), meta.end());
   state->depth = std::move(s.depth);
-  state->meta = std::move(meta);
-}
-
-void RederiveLabelColumn(const Graph& g, PathLabeling& labeling,
-                         LandmarkIndex i, LabelColumnState* state) {
-  const VertexId n = g.NumVertices();
-  const std::vector<uint32_t>& depth = state->depth;
-  QBS_CHECK_EQ(depth.size(), static_cast<size_t>(n));
-
-  // Level-sorted settle order via counting sort (ascending id within each
-  // level). Any level-sorted order derives identical labels and masks: the
-  // QL rule and both mask recurrences only compare depths across edges.
-  uint32_t max_depth = 0;
-  size_t reached = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (depth[v] == kUnreachable) continue;
-    ++reached;
-    max_depth = std::max(max_depth, depth[v]);
-  }
-  QBS_CHECK_LT(max_depth, static_cast<uint32_t>(kInfDist));
-  std::vector<size_t> level_begin(static_cast<size_t>(max_depth) + 2, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    if (depth[v] != kUnreachable) ++level_begin[depth[v] + 1];
-  }
-  for (size_t d = 1; d < level_begin.size(); ++d) {
-    level_begin[d] += level_begin[d - 1];
-  }
-  std::vector<VertexId> order(reached);
-  std::vector<size_t> cursor(level_begin.begin(), level_begin.end() - 1);
-  for (VertexId v = 0; v < n; ++v) {
-    if (depth[v] != kUnreachable) order[cursor[depth[v]]++] = v;
-  }
-
-  // QL reclassification in level order: the root seeds QL; a vertex is QL
-  // iff some depth-(d-1) parent is QL and it is not itself a landmark.
-  // Non-landmark QL vertices carry the label; landmarks first reached via a
-  // QL parent produce the meta-edge — exactly Settle()'s rule, driven by
-  // exact depths instead of discovery order.
-  for (VertexId v = 0; v < n; ++v) labeling.Set(v, i, kInfDist);
-  std::vector<MetaEdge> meta;
-  std::vector<uint8_t> ql(n, 0);
-  for (const VertexId v : order) {
-    const uint32_t d = depth[v];
-    if (d == 0) {
-      ql[v] = 1;  // the root joins QL even though it is a landmark
-      continue;
-    }
-    const bool via_l =
-        HasQlParent(g, depth, v, [&ql](VertexId w) { return ql[w] != 0; });
-    const int32_t rank = labeling.LandmarkRank(v);
-    if (rank >= 0) {
-      if (via_l) {
-        meta.push_back(MetaEdge{i, static_cast<LandmarkIndex>(rank), d});
-      }
-    } else if (via_l) {
-      ql[v] = 1;
-      labeling.Set(v, i, static_cast<DistT>(d));
-    }
-  }
-
-  if (labeling.has_bp_masks()) {
-    labeling.SetBpSelected(
-        i, SelectBpNeighbors(g, labeling, labeling.LandmarkVertex(i)));
-    std::vector<BpMask> bp_col(n, BpMask{});
-    ComputeBpColumn(g, labeling.BpSelected(i), depth, order, bp_col.data());
-    for (VertexId v = 0; v < n; ++v) labeling.SetBpMask(v, i, bp_col[v]);
-  }
-  std::sort(meta.begin(), meta.end());
   state->meta = std::move(meta);
 }
 
@@ -670,54 +248,37 @@ ColumnRepair RepairLabelColumn(const Graph& g, PathLabeling& labeling,
                                const std::vector<MovedVertex>& moved,
                                const std::vector<VertexId>& touched) {
   const VertexId root = labeling.LandmarkVertex(i);
-  const bool bp = labeling.has_bp_masks();
-  // An edit at the root can renumber S_r, and with it every mask bit.
-  if (bp && std::binary_search(touched.begin(), touched.end(), root) &&
-      SelectBpNeighbors(g, labeling, root) != labeling.BpSelected(i)) {
-    RederiveLabelColumn(g, labeling, i, state);
-    return ColumnRepair::kRederived;
-  }
   const std::vector<uint32_t>& depth = state->depth;
   QBS_CHECK_EQ(depth.size(), static_cast<size_t>(g.NumVertices()));
   const auto is_ql = [&](VertexId w) {
     return w == root ||
            (!labeling.IsLandmark(w) && labeling.Get(w, i) != kInfDist);
   };
-  const auto mask_at = [&](VertexId w) { return labeling.GetBpMask(w, i); };
   bool changed = !moved.empty();
 
-  // Worklists by (new) depth: `full` recomputes every derived value of a
-  // vertex, `zero` only its S^0. Unreachable vertices carry nothing.
-  std::vector<std::vector<VertexId>> full;
-  std::vector<std::vector<VertexId>> zero;
+  // Worklist by (new) depth: each entry gets its QL flag, label and
+  // meta-edge recomputed. Unreachable vertices carry nothing.
+  std::vector<std::vector<VertexId>> work;
   std::vector<VertexId> gone;
-  const auto push = [&](std::vector<std::vector<VertexId>>& queue,
-                        VertexId v) {
+  const auto push = [&](VertexId v) {
     const uint32_t d = depth[v];
     if (d == kUnreachable) {
       gone.push_back(v);
       return;
     }
-    if (queue.size() <= d) queue.resize(static_cast<size_t>(d) + 1);
-    queue[d].push_back(v);
+    if (work.size() <= d) work.resize(static_cast<size_t>(d) + 1);
+    work[d].push_back(v);
   };
-  const auto push_level = [&](std::vector<std::vector<VertexId>>& queue,
-                              VertexId v, uint32_t d) {
-    for (VertexId w : g.Neighbors(v)) {
-      if (depth[w] == d) push(queue, w);
-    }
-  };
-  for (const VertexId v : touched) push(full, v);
+  for (const VertexId v : touched) push(v);
   for (const MovedVertex& m : moved) {
-    push(full, m.v);
-    // A neighbour w reads v only while v sits one level above w or on w's
-    // level, before or after the move.
+    push(m.v);
+    // A neighbour w reads v only while v sits one level above w, before or
+    // after the move.
     const uint32_t now = depth[m.v];
     for (VertexId w : g.Neighbors(m.v)) {
       const uint32_t dw = depth[w];
-      if (dw != kUnreachable && (dw == m.old_depth || dw == m.old_depth + 1 ||
-                                 dw == now || dw == now + 1)) {
-        push(full, w);
+      if (dw != kUnreachable && (dw == m.old_depth + 1 || dw == now + 1)) {
+        push(w);
       }
     }
   }
@@ -746,72 +307,30 @@ ColumnRepair RepairLabelColumn(const Graph& g, PathLabeling& labeling,
       labeling.Set(v, i, kInfDist);
       changed = true;
     }
-    if (bp && !(labeling.GetBpMask(v, i) == BpMask{})) {
-      labeling.SetBpMask(v, i, BpMask{});
-      changed = true;
-    }
     if (labeling.IsLandmark(v)) set_meta(labeling.LandmarkRank(v), 0);
   }
 
-  // Level order, as in a full pass: a level's QL, labels and S^{-1} read
-  // only final parents; its S^0 then reads the level's final S^{-1}. A
-  // vertex hands work on only when a value its readers use has changed.
-  // The root (level 0) never changes.
-  const auto sort_unique = [](std::vector<VertexId>* level) {
-    std::sort(level->begin(), level->end());
-    level->erase(std::unique(level->begin(), level->end()), level->end());
-  };
-  for (uint32_t d = 1; d < std::max(full.size(), zero.size()); ++d) {
-    std::vector<VertexId> level;
-    if (d < full.size()) level = std::move(full[d]);
-    sort_unique(&level);
+  // Level order, as in a full pass: a level's QL flags and labels read only
+  // final parents. A vertex hands work on to its children only when its QL
+  // flag (its label) changed. The root (level 0) never changes.
+  for (uint32_t d = 1; d < work.size(); ++d) {
+    std::vector<VertexId> level = std::move(work[d]);
+    std::sort(level.begin(), level.end());
+    level.erase(std::unique(level.begin(), level.end()), level.end());
     for (const VertexId v : level) {
       const bool via_l = HasQlParent(g, depth, v, is_ql);
-      bool flows = false;
       const int32_t rank = labeling.LandmarkRank(v);
       if (rank >= 0) {
         set_meta(rank, via_l ? d : 0);
-      } else {
-        const DistT label = via_l ? static_cast<DistT>(d) : kInfDist;
-        if (labeling.Get(v, i) != label) {
-          labeling.Set(v, i, label);
-          flows = true;
-        }
+        continue;
       }
-      if (bp) {
-        BpMask mask = labeling.GetBpMask(v, i);
-        uint64_t s_minus = 0;
-        if (d >= 2) {
-          s_minus = ParentSMinus(g, depth, v, mask_at);
-        } else {
-          const std::vector<VertexId>& selected = labeling.BpSelected(i);
-          const auto it = std::find(selected.begin(), selected.end(), v);
-          if (it != selected.end()) s_minus = 1ull << (it - selected.begin());
-        }
-        if (s_minus != mask.s_minus) {
-          mask.s_minus = s_minus;
-          labeling.SetBpMask(v, i, mask);
-          push_level(zero, v, d);
-          flows = true;
-        }
-        push(zero, v);
-      }
-      if (flows) {
-        changed = true;
-        push_level(full, v, d + 1);
-      }
-    }
-    if (!bp || d >= zero.size()) continue;
-    level = std::move(zero[d]);
-    sort_unique(&level);
-    for (const VertexId v : level) {
-      BpMask mask = labeling.GetBpMask(v, i);
-      const uint64_t s_zero = SZeroOf(g, depth, v, mask_at);
-      if (s_zero == mask.s_zero) continue;
-      mask.s_zero = s_zero;
-      labeling.SetBpMask(v, i, mask);
+      const DistT label = via_l ? static_cast<DistT>(d) : kInfDist;
+      if (labeling.Get(v, i) == label) continue;
+      labeling.Set(v, i, label);
       changed = true;
-      push_level(full, v, d + 1);
+      for (VertexId w : g.Neighbors(v)) {
+        if (depth[w] == d + 1) push(w);
+      }
     }
   }
   std::sort(state->meta.begin(), state->meta.end());

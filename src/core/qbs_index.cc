@@ -30,9 +30,6 @@ QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,
   WallTimer timer;
   LabelingBuildOptions build_options;
   build_options.num_threads = options.num_threads;
-  build_options.bit_parallel = options.bit_parallel;
-  build_options.bp_fused = options.bp_fused;
-  index.mask_prune_ = options.mask_prune;
   index.scheme_ = std::make_unique<LabelingScheme>(
       BuildLabelingScheme(g, landmarks, build_options));
   index.timings_.labeling_seconds = timer.ElapsedSeconds();
@@ -50,7 +47,6 @@ QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,
   index.searcher_ = std::make_unique<GuidedSearcher>(
       g, *index.sparsified_, index.scheme_->labeling, index.scheme_->meta,
       index.delta_.get());
-  index.searcher_->set_mask_prune(index.mask_prune_);
   return index;
 }
 
@@ -68,7 +64,6 @@ std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
   QbsIndex index;
   index.g_ = &g;
   if (options.force_scalar_scan) SetActiveScanKernel(ScanKernel::kScalar);
-  index.mask_prune_ = options.mask_prune;
   index.scheme_ = std::make_unique<LabelingScheme>(std::move(*scheme));
   if (options.precompute_delta) {
     WallTimer timer;
@@ -82,7 +77,6 @@ std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
   index.searcher_ = std::make_unique<GuidedSearcher>(
       g, *index.sparsified_, index.scheme_->labeling, index.scheme_->meta,
       index.delta_.get());
-  index.searcher_->set_mask_prune(index.mask_prune_);
   return index;
 }
 
@@ -101,12 +95,6 @@ QueryResponse QbsIndex::Query(const QueryRequest& request) {
 
 QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
                                 const QueryRequest& request) const {
-  return Execute(searcher, request, nullptr);
-}
-
-QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
-                                const QueryRequest& request,
-                                const LabelBound* certify) const {
   QBS_CHECK_LT(request.u, g_->NumVertices());
   QBS_CHECK_LT(request.v, g_->NumVertices());
   QueryResponse response;
@@ -122,8 +110,7 @@ QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
       return response;
     }
   }
-  response.spg = searcher.Query(request.u, request.v, &response.stats,
-                                certify);
+  response.spg = searcher.Query(request.u, request.v, &response.stats);
   if (request.budget > 0 && response.spg.Connected() &&
       response.spg.distance > request.budget) {
     response.flags |= kResponseFlagBudgetExceeded;
@@ -148,11 +135,9 @@ QbsIndex::SearcherLease::SearcherLease(QbsIndex& index, size_t count)
   }
   try {
     while (searchers_.size() < count) {
-      auto searcher = std::make_unique<GuidedSearcher>(
+      searchers_.push_back(std::make_unique<GuidedSearcher>(
           *index_.g_, *index_.sparsified_, index_.scheme_->labeling,
-          index_.scheme_->meta, index_.delta_.get());
-      searcher->set_mask_prune(index_.mask_prune_);
-      searchers_.push_back(std::move(searcher));
+          index_.scheme_->meta, index_.delta_.get()));
     }
   } catch (...) {
     // A failed top-up (searcher construction is O(|V|) of allocation) must
@@ -183,50 +168,6 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   std::vector<QueryResponse> results(requests.size());
   const size_t workers = std::min(EffectiveThreads(options.num_threads),
                                   std::max<size_t>(requests.size(), 1));
-  // Certify pre-pass: stream every eligible pair's fast-path bound
-  // (refine_cutoff 2) through the batched SIMD row sweep, kScanBatch pairs
-  // per interleaved scan, before fanning the queries out. Workers then
-  // skip their per-query certify row scan; certified d <= 2 pairs (the
-  // bulk of small-world workloads) never touch their label rows again.
-  std::vector<LabelBound> certify_bounds;
-  std::vector<const LabelBound*> certify(requests.size(), nullptr);
-  bool have_certify = false;
-  if (scheme_->labeling.has_bp_masks() && requests.size() >= 2) {
-    const VertexId n = g_->NumVertices();
-    std::vector<size_t> idx;
-    std::vector<VertexId> us;
-    std::vector<VertexId> vs;
-    idx.reserve(requests.size());
-    us.reserve(requests.size());
-    vs.reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const QueryRequest& r = requests[i];
-      // Out-of-range pairs are left for Execute's range CHECK; identical
-      // pairs never consult the certify bound.
-      if (r.u == r.v || r.u >= n || r.v >= n) continue;
-      idx.push_back(i);
-      us.push_back(r.u);
-      vs.push_back(r.v);
-    }
-    if (!idx.empty()) {
-      certify_bounds.resize(idx.size());
-      const size_t blocks = (idx.size() + kScanBatch - 1) / kScanBatch;
-      ParallelForOptions pre;
-      pre.num_threads = workers;
-      ParallelFor(blocks, pre, [&](size_t b, size_t) {
-        const size_t begin = b * kScanBatch;
-        const size_t count = std::min(kScanBatch, idx.size() - begin);
-        ComputeLabelBoundsBatch(scheme_->labeling, scheme_->meta,
-                                us.data() + begin, vs.data() + begin, count,
-                                /*refine_cutoff=*/2,
-                                certify_bounds.data() + begin);
-      });
-      for (size_t j = 0; j < idx.size(); ++j) {
-        certify[idx[j]] = &certify_bounds[j];
-      }
-      have_certify = true;
-    }
-  }
   // One searcher per worker, checked out of the persistent pool (topped up
   // to `workers` if needed); all share the labelling, meta-graph, D cache,
   // and the materialized sparsified graph (read-only). The RAII lease
@@ -238,39 +179,10 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   pf.num_threads = workers;
   pf.grain = options.grain;
   ParallelFor(requests.size(), pf, [&](size_t i, size_t worker) {
-    results[i] = Execute(lease[worker], requests[i],
-                         have_certify ? certify[i] : nullptr);
+    results[i] = Execute(lease[worker], requests[i]);
   });
   return results;
 }
-
-// The deprecated pair-based wrappers. Defined with the warning suppressed:
-// the definitions themselves must not trip -Werror builds.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-std::vector<ShortestPathGraph> QbsIndex::QueryBatch(
-    const std::vector<std::pair<VertexId, VertexId>>& pairs,
-    const BatchOptions& options) {
-  std::vector<QueryRequest> requests;
-  requests.reserve(pairs.size());
-  for (const auto& [u, v] : pairs) requests.emplace_back(u, v);
-  std::vector<QueryResponse> responses = QueryBatch(requests, options);
-  std::vector<ShortestPathGraph> results;
-  results.reserve(responses.size());
-  for (auto& r : responses) results.push_back(std::move(r.spg));
-  return results;
-}
-
-std::vector<ShortestPathGraph> QbsIndex::QueryBatch(
-    const std::vector<std::pair<VertexId, VertexId>>& pairs,
-    size_t num_threads) {
-  BatchOptions options;
-  options.num_threads = num_threads;
-  return QueryBatch(pairs, options);
-}
-
-#pragma GCC diagnostic pop
 
 void QbsIndex::EnableUpdates(Graph* mutable_graph, size_t num_threads) {
   QBS_CHECK(mutable_graph == g_);  // the very graph the index was built on
@@ -345,11 +257,7 @@ uint32_t QbsIndex::DistanceUpperBound(VertexId u, VertexId v) const {
   QBS_CHECK_LT(u, g_->NumVertices());
   QBS_CHECK_LT(v, g_->NumVertices());
   if (u == v) return 0;
-  const uint32_t d_top =
-      ComputeSketch(scheme_->labeling, scheme_->meta, u, v).d_top;
-  if (!scheme_->labeling.has_bp_masks()) return d_top;
-  return std::min(
-      d_top, ComputeLabelBound(scheme_->labeling, scheme_->meta, u, v).upper);
+  return ComputeSketch(scheme_->labeling, scheme_->meta, u, v).d_top;
 }
 
 }  // namespace qbs

@@ -51,22 +51,10 @@ struct QbsOptions {
   /// default — the paper's QbS includes Δ (Table 3 reports its size for
   /// every dataset); turn off to trade query time for build time/space.
   bool precompute_delta = true;
-  /// Build Akiba-style bit-parallel masks (the 64 nearest non-landmark
-  /// neighbours of each landmark) alongside the labels. Queries then answer
-  /// d(s, t) <= 2 pairs straight from the labelling — no sketch, search, or
-  /// recover work — and DistanceUpperBound() tightens. Costs 16 bytes per
-  /// label slot plus one extra adjacency sweep per landmark at build.
+  /// Inert. Kept for perfbench; delete at the next benchmark revision.
   bool bit_parallel = true;
-  /// Fuse the S^{-1} mask propagation into the labelling BFS instead of
-  /// replaying two post-BFS sweeps per landmark (LabelingBuildOptions::
-  /// bp_fused). Identical masks either way; off only for the fused-vs-
-  /// replay ablation and equivalence tests.
+  /// Inert. Kept for perfbench; delete at the next benchmark revision.
   bool bp_fused = true;
-  /// Mask-guided search pruning (GuidedSearcher::set_mask_prune): the
-  /// refined label upper bound caps the search budget and mask-lifted
-  /// per-vertex lower bounds skip frontier vertices that cannot lie on a
-  /// relevant path. Identical answers either way; off for ablation.
-  bool mask_prune = true;
   /// Force the scalar label-scan kernels (core/label_scan.h), the
   /// programmatic equivalent of QBS_FORCE_SCALAR_SCAN=1. The kernel switch
   /// is process-wide (SetActiveScanKernel at Build/Load), not per-index;
@@ -149,26 +137,6 @@ class QbsIndex {
   QueryResponse Execute(GuidedSearcher& searcher,
                         const QueryRequest& request) const;
 
-  /// As Execute(), with an optional precomputed certify bound for the
-  /// request's pair — ComputeLabelBound(labeling, meta, u, v, 2), null to
-  /// compute it inline. QueryBatch precomputes these through the SIMD
-  /// batch kernel (ComputeLabelBoundsBatch) so workers skip the per-query
-  /// fast-path row scan.
-  QueryResponse Execute(GuidedSearcher& searcher, const QueryRequest& request,
-                        const LabelBound* certify) const;
-
-  /// Deprecated pair-based batch forms, kept as thin wrappers over the
-  /// QueryRequest vector form (mode = kSpg, no budget).
-  [[deprecated("use QueryBatch(std::vector<QueryRequest>, BatchOptions)")]]
-  std::vector<ShortestPathGraph> QueryBatch(
-      const std::vector<std::pair<VertexId, VertexId>>& pairs,
-      const BatchOptions& options);
-
-  [[deprecated("use QueryBatch(std::vector<QueryRequest>, BatchOptions)")]]
-  std::vector<ShortestPathGraph> QueryBatch(
-      const std::vector<std::pair<VertexId, VertexId>>& pairs,
-      size_t num_threads = 0);
-
   /// RAII checkout of `count` searchers from the QueryBatch pool, topping
   /// the pool up with freshly constructed ones as needed. The destructor
   /// returns every searcher, so a query that throws mid-batch (e.g. an
@@ -233,17 +201,11 @@ class QbsIndex {
   }
 
   /// An upper bound on d_G(u, v): the sketch bound d⊤ (Eq. 3) — tight
-  /// whenever a shortest path crosses a landmark — further tightened by the
-  /// bit-parallel label bound when masks are present (tight whenever a
-  /// shortest path crosses a landmark's selected neighbourhood). O(|R|^2),
-  /// no search.
+  /// whenever a shortest path crosses a landmark. O(|R|^2), no search.
   uint32_t DistanceUpperBound(VertexId u, VertexId v) const;
 
-  /// size(BP): bytes of the bit-parallel mask matrix (0 when built with
-  /// bit_parallel = false).
-  uint64_t BpMaskSizeBytes() const {
-    return scheme_->labeling.BpSizeBytes();
-  }
+  /// Always 0. Kept for perfbench; delete at the next benchmark revision.
+  uint64_t BpMaskSizeBytes() const { return 0; }
 
   /// The graph the index was built on (read-only; useful for request
   /// validation in serving layers).
@@ -304,9 +266,6 @@ class QbsIndex {
   std::vector<std::unique_ptr<GuidedSearcher>> batch_searchers_
       QBS_GUARDED_BY(*batch_searchers_mu_);
   QbsBuildTimings timings_;
-  /// Mask-guided pruning setting applied to every searcher this index
-  /// constructs (QbsOptions::mask_prune).
-  bool mask_prune_ = true;
   /// Set by EnableUpdates: the same object g_ points at, held mutably so
   /// ApplyUpdates can move-assign the post-edit CSR into it.
   Graph* mutable_g_ = nullptr;

@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <utility>
@@ -23,41 +24,38 @@ bool ReadPod(std::ifstream& in, T* value) {
   return static_cast<bool>(in);
 }
 
-// Reads the optional bit-parallel section of a v2 file into *labeling.
-bool ReadBpSection(std::ifstream& in, PathLabeling* labeling) {
+// Validates and skips the optional bit-parallel mask section of a v2 file
+// (written by the retired mask layer; current writers set the flag to 0).
+bool SkipBpSection(std::ifstream& in, const PathLabeling& labeling) {
   uint8_t has_bp = 0;
   if (!ReadPod(in, &has_bp) || has_bp > 1) {
     std::cerr << "LoadLabelingScheme: bad bit-parallel flag\n";
     return false;
   }
   if (has_bp == 0) return true;
-  labeling->EnableBpMasks();
-  const uint32_t k = labeling->num_landmarks();
-  const VertexId n = labeling->num_vertices();
+  const uint32_t k = labeling.num_landmarks();
+  const VertexId n = labeling.num_vertices();
   for (LandmarkIndex i = 0; i < k; ++i) {
     uint32_t count = 0;
     if (!ReadPod(in, &count) || count > 64) {
       std::cerr << "LoadLabelingScheme: bad selected-neighbour count\n";
       return false;
     }
-    std::vector<VertexId> selected(count);
-    for (auto& w : selected) {
+    for (uint32_t j = 0; j < count; ++j) {
+      VertexId w = 0;
       if (!ReadPod(in, &w) || w >= n) {
         std::cerr << "LoadLabelingScheme: bad selected neighbour\n";
         return false;
       }
     }
-    labeling->SetBpSelected(i, std::move(selected));
   }
-  for (VertexId v = 0; v < n; ++v) {
-    for (LandmarkIndex i = 0; i < k; ++i) {
-      BpMask m;
-      if (!ReadPod(in, &m.s_minus) || !ReadPod(in, &m.s_zero)) {
-        std::cerr << "LoadLabelingScheme: truncated masks\n";
-        return false;
-      }
-      labeling->SetBpMask(v, i, m);
-    }
+  // Two u64 masks per (vertex, landmark) slot.
+  const auto mask_bytes =
+      static_cast<std::streamsize>(static_cast<uint64_t>(n) * k * 16);
+  in.ignore(mask_bytes);
+  if (in.gcount() != mask_bytes) {
+    std::cerr << "LoadLabelingScheme: truncated masks\n";
+    return false;
   }
   return true;
 }
@@ -66,45 +64,43 @@ bool ReadBpSection(std::ifstream& in, PathLabeling* labeling) {
 
 bool SaveLabelingScheme(const LabelingScheme& scheme,
                         const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::cerr << "SaveLabelingScheme: cannot open " << path << '\n';
+  // Write to a temp sibling and rename, so a failed or interrupted save
+  // never replaces a good index with a partial one.
+  const std::string tmp = path + ".tmp";
+  const auto fail = [&tmp](const char* what) {
+    std::cerr << "SaveLabelingScheme: " << what << ' ' << tmp << '\n';
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
     return false;
-  }
-  const PathLabeling& l = scheme.labeling;
-  WritePod(out, kMagicV2);
-  WritePod(out, l.num_vertices());
-  WritePod(out, l.num_landmarks());
-  for (VertexId r : l.landmarks()) WritePod(out, r);
-  for (VertexId v = 0; v < l.num_vertices(); ++v) {
-    for (LandmarkIndex i = 0; i < l.num_landmarks(); ++i) {
-      WritePod(out, l.Get(v, i));
-    }
-  }
-  const uint8_t has_bp = l.has_bp_masks() ? 1 : 0;
-  WritePod(out, has_bp);
-  if (has_bp != 0) {
-    for (LandmarkIndex i = 0; i < l.num_landmarks(); ++i) {
-      const auto& selected = l.BpSelected(i);
-      WritePod(out, static_cast<uint32_t>(selected.size()));
-      for (VertexId w : selected) WritePod(out, w);
-    }
+  };
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return fail("cannot open");
+    const PathLabeling& l = scheme.labeling;
+    WritePod(out, kMagicV2);
+    WritePod(out, l.num_vertices());
+    WritePod(out, l.num_landmarks());
+    for (VertexId r : l.landmarks()) WritePod(out, r);
     for (VertexId v = 0; v < l.num_vertices(); ++v) {
       for (LandmarkIndex i = 0; i < l.num_landmarks(); ++i) {
-        const BpMask m = l.GetBpMask(v, i);
-        WritePod(out, m.s_minus);
-        WritePod(out, m.s_zero);
+        WritePod(out, l.Get(v, i));
       }
     }
+    WritePod(out, uint8_t{0});  // no bit-parallel section
+    const auto& edges = scheme.meta.Edges();
+    WritePod(out, static_cast<uint64_t>(edges.size()));
+    for (const MetaEdge& e : edges) {
+      WritePod(out, e.a);
+      WritePod(out, e.b);
+      WritePod(out, e.weight);
+    }
+    out.close();  // flush now: buffered write errors surface here
+    if (!out) return fail("write failed for");
   }
-  const auto& edges = scheme.meta.Edges();
-  WritePod(out, static_cast<uint64_t>(edges.size()));
-  for (const MetaEdge& e : edges) {
-    WritePod(out, e.a);
-    WritePod(out, e.b);
-    WritePod(out, e.weight);
-  }
-  return static_cast<bool>(out);
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) return fail("rename failed for");
+  return true;
 }
 
 std::optional<LabelingScheme> LoadLabelingScheme(const std::string& path) {
@@ -140,7 +136,7 @@ std::optional<LabelingScheme> LoadLabelingScheme(const std::string& path) {
       scheme.labeling.Set(v, i, d);
     }
   }
-  if (magic == kMagicV2 && !ReadBpSection(in, &scheme.labeling)) {
+  if (magic == kMagicV2 && !SkipBpSection(in, scheme.labeling)) {
     return std::nullopt;
   }
   uint64_t num_edges = 0;

@@ -8,16 +8,21 @@
 //   u32  num_landmarks k
 //   u32  landmarks[k]            (vertex ids)
 //   u16  labels[num_vertices*k]  (kInfDist = absent)
-//   u8   has_bp_masks            (0 or 1)
+//   u8   has_bp_masks            (Save() always writes 0)
 //   if has_bp_masks:
 //     per landmark: u32 count (<= 64), u32 selected[count]  (vertex ids)
 //     (u64 s_minus, u64 s_zero) * num_vertices*k            (vertex-major)
 //   u64  num_meta_edges
 //   (u32 a, u32 b, u32 weight) * num_meta_edges
 //
-// Version QBSIDX01 is the same layout without the bit-parallel section;
-// the loader still reads v1 files (masks simply come back disabled, and
-// queries fall back to the sketch-guided search). Save() always writes v2.
+// The optional section holds the bit-parallel masks of an earlier mask
+// layer, no longer built. Files written with it still load: the loader
+// validates the section's layout (counts, vertex ids, full length) and
+// skips it. Version QBSIDX01 is the same layout without the has_bp_masks
+// byte; the loader still reads it. Save() always writes v2.
+//
+// Save() is atomic: it writes a ".tmp" sibling and renames it over the
+// target, so a failed save leaves any previous file at `path` intact.
 //
 // The Δ cache is intentionally not stored: rebuilding it from the loaded
 // labels is a fast parallel pass, and skipping it keeps files small.
@@ -32,8 +37,10 @@
 
 namespace qbs {
 
-// Writes the labelling scheme to `path`. Returns false on I/O failure (a
-// message goes to stderr).
+// Writes the labelling scheme to `path` atomically (temp sibling +
+// rename). Returns false on I/O failure (a message goes to stderr); the
+// previous contents of `path`, if any, are then untouched and the temp
+// file is removed.
 bool SaveLabelingScheme(const LabelingScheme& scheme,
                         const std::string& path);
 

@@ -79,8 +79,7 @@ Sketch ComputeSketch(const PathLabeling& labeling, const MetaGraph& meta,
 /// sparsified graph and never read the meta-edges. With reuse_candidates =
 /// true, scratch->cu / scratch->cv are taken as already filled (by
 /// ComputeAnchorCandidatesInto for the same u, v) instead of re-scanning
-/// the label rows — the guided search shares one scan between the label
-/// bound check and the sketch.
+/// the label rows.
 void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
                        VertexId u, VertexId v, Sketch* sketch,
                        SketchScratch* scratch, bool with_meta_edges = true,
@@ -103,36 +102,14 @@ void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,
 std::vector<SketchAnchor> AnchorCandidates(const PathLabeling& labeling,
                                            VertexId t);
 
-/// True iff the bit-parallel masks of a shared landmark witness a per-
-/// neighbour lower bound one above |du - dv|: a bit j set on both sides pins
-/// d(u_j, u) and d(u_j, v) exactly (S^{-1} = delta - 1, S^0 = delta), and
-/// the pinned distances disagree hardest when the smaller-delta side holds
-/// the S^{-1} bit and the larger-delta side the S^0 bit (or the deltas tie
-/// and any S^{-1}/S^0 cross bit exists). Bits unset on either side pin
-/// nothing, so all-zero masks (e.g. a v1 load that never built them) can
-/// never lift the bound — the refinement degrades to "no witnesses".
-inline bool BpMaskLowerLift(const BpMask& mu, const BpMask& mv, DistT du,
-                            DistT dv) {
-  if (du == dv) {
-    return ((mu.s_minus & mv.s_zero) | (mu.s_zero & mv.s_minus)) != 0;
-  }
-  if (du > dv) return (mu.s_zero & mv.s_minus) != 0;
-  return (mu.s_minus & mv.s_zero) != 0;
-}
-
 /// Distance bounds on d_G(u, v) read from the labelling alone — one fused
 /// scan of the two label rows, O(|R|), no graph access.
 struct LabelBound {
   /// max |δ_{u,r} - δ_{v,r}| over landmarks present in both labels (triangle
-  /// inequality), lifted by one per landmark when a bit-parallel mask
-  /// witness (BpMaskLowerLift) pins a selected neighbour's exact distances
-  /// harder than the deltas alone; 0 when the labels share no landmark.
+  /// inequality); 0 when the labels share no landmark.
   uint32_t lower = 0;
-  /// min over shared landmarks of δ_{u,r} + δ_{v,r}, refined by the
-  /// bit-parallel masks when present: a common S_r^{-1} witness subtracts 2
-  /// (the path u .. w .. v through the witness w skips r on both sides), an
-  /// S^{-1}/S^0 cross witness subtracts 1. Every refined value is realized
-  /// by an actual path, so this is a sound upper bound; kUnreachable when no
+  /// min over shared landmarks of δ_{u,r} + δ_{v,r}: the length of an
+  /// actual u–r–v walk, so a sound upper bound; kUnreachable when no
   /// landmark is shared.
   uint32_t upper = kUnreachable;
 };
@@ -141,15 +118,8 @@ struct LabelBound {
 /// other side's label row (exact when present: the endpoint is itself the
 /// landmark) or, for a landmark pair, the meta-graph APSP distance (exact by
 /// Corollary 4.6 — the endpoints are landmarks on every path). Requires
-/// u != v.
-///
-/// `refine_cutoff` bounds the mask work: a landmark's masks are only
-/// consulted when the unrefined candidate could drop to <= refine_cutoff
-/// (refinement subtracts at most 2). The query hot path passes 2 — it only
-/// acts on a certified d <= 2 — which skips the mask cache lines for every
-/// farther landmark; the default refines everything (tightest bound). The
-/// lower-bound lift rides the same gate: only landmarks whose masks are
-/// read for the upper refinement can lift `lower`.
+/// u != v. `refine_cutoff` is ignored.
+/// refine_cutoff kept for perfbench; delete at the next benchmark revision.
 LabelBound ComputeLabelBound(const PathLabeling& labeling,
                              const MetaGraph& meta, VertexId u, VertexId v,
                              uint32_t refine_cutoff = kUnreachable);
@@ -158,7 +128,9 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
 /// with us[i] != vs[i]. Non-landmark pairs stream through the active SIMD
 /// kernel's interleaved batch sweep (core/label_scan.h) in kScanBatch
 /// groups; pairs with a landmark endpoint take the scalar special cases.
-/// Results are identical to n calls of ComputeLabelBound.
+/// Results are identical to n calls of ComputeLabelBound. `refine_cutoff`
+/// is ignored.
+/// refine_cutoff kept for perfbench; delete at the next benchmark revision.
 void ComputeLabelBoundsBatch(const PathLabeling& labeling,
                              const MetaGraph& meta, const VertexId* us,
                              const VertexId* vs, size_t n,
@@ -169,10 +141,8 @@ void ComputeLabelBoundsBatch(const PathLabeling& labeling,
 /// merge on landmark index, no label-row re-scan. (A landmark endpoint is
 /// its single virtual entry; a landmark *pair* never shares a candidate, so
 /// callers handle that case via MetaGraph::Distance first.)
-LabelBound ComputeLabelBoundFromCandidates(
-    const PathLabeling& labeling, const std::vector<SketchAnchor>& cu,
-    const std::vector<SketchAnchor>& cv, VertexId u, VertexId v,
-    uint32_t refine_cutoff = kUnreachable);
+LabelBound ComputeLabelBoundFromCandidates(const std::vector<SketchAnchor>& cu,
+                                           const std::vector<SketchAnchor>& cv);
 
 }  // namespace qbs
 

@@ -231,7 +231,7 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
   // Columns are independent (Lemma 5.2), and every write — label column,
-  // mask column, S_r slot, LabelColumnState — is column-private.
+  // LabelColumnState — is column-private.
   // CutsParentEdge reads the column's pre-batch depths.
   enum class Outcome : uint8_t { kUnchanged, kRepaired, kRebuilt, kDeferred };
   std::vector<Outcome> outcome(k, Outcome::kUnchanged);
@@ -247,15 +247,9 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
       state->dirty[i] = 0;
       outcome[i] = Outcome::kRebuilt;
     } else {
-      switch (RepairColumn(new_graph, net, touched, *labeling, li, &col)) {
-        case ColumnRepair::kUnchanged:
-          break;
-        case ColumnRepair::kRepaired:
-          outcome[i] = Outcome::kRepaired;
-          break;
-        case ColumnRepair::kRederived:
-          outcome[i] = Outcome::kRebuilt;
-          break;
+      if (RepairColumn(new_graph, net, touched, *labeling, li, &col) ==
+          ColumnRepair::kRepaired) {
+        outcome[i] = Outcome::kRepaired;
       }
     }
   });

@@ -1,8 +1,8 @@
 // Incremental maintenance of the QbS labelling scheme under edge edits.
 //
-// The labelling is uniquely determined by (G, R) (Lemma 5.2): every label,
-// bit-parallel mask and meta-edge of a landmark column is a function of
-// that landmark's exact BFS depths. Each column keeps those depths
+// The labelling is uniquely determined by (G, R) (Lemma 5.2): every label
+// and meta-edge of a landmark column is a function of that landmark's
+// exact BFS depths. Each column keeps those depths
 // (LabelColumnState, captured at EnableUpdates / rebuild time), so a batch
 // of net edge changes is repaired column by column, touching only what the
 // batch changes:
@@ -18,18 +18,14 @@
 //      queue seeded at each inserted edge's deeper end. Exact because pass
 //      1 left depths exact on the graph without the inserts.
 //   3. Derived values (RepairLabelColumn), in depth order: every moved
-//      vertex, every neighbour that reads one, and every edit endpoint get
-//      their QL flag, label, meta-edge, S^{-1} and S^0 recomputed with the
-//      full pass's recurrences (a level's S^{-1} before its S^0); a vertex
-//      hands work to its children only when one of its values changed, and
-//      to its same-level neighbours only when its S^{-1} changed.
+//      vertex, every child that reads one, and every edit endpoint get
+//      their QL flag, label and meta-edge recomputed with the full pass's
+//      rule; a vertex hands work to its children only when its label
+//      changed.
 //
 // A column still runs a full pass only where that is the definition:
 //   - InitUpdatableState (no depths exist yet);
-//   - a dirty (deferred) column, rebuilt by RebuildLabelColumn;
-//   - an edit at the root that changes S_r, the root's first 64
-//     non-landmark neighbours: that renumbers the mask bits, so the column
-//     falls back to RederiveLabelColumn over the repaired depths.
+//   - a dirty (deferred) column, rebuilt by RebuildLabelColumn.
 // With UpdateOptions::consolidate = false, a column is deferred SVS-style
 // when it is already dirty or when a delete in the batch cuts one of its
 // parent edges (pre-batch depths differ); it serves stale answers until
@@ -84,11 +80,10 @@ struct UpdateStats {
   /// out-of-range endpoint), skipped.
   uint64_t noop_updates = 0;
   uint64_t invalid_updates = 0;
-  /// Columns the edit-local repair changed (depths, labels, masks or
-  /// meta-edges).
+  /// Columns the edit-local repair changed (depths, labels or meta-edges).
   uint32_t repaired_columns = 0;
   /// Columns that ran a full pass: dirty columns rebuilt by eager
-  /// consolidation, and columns rederived after their S_r changed.
+  /// consolidation.
   uint32_t rebuilt_columns = 0;
   /// Columns left dirty for a later Consolidate() (consolidate = false).
   uint32_t deferred_columns = 0;
@@ -101,7 +96,7 @@ struct UpdateStats {
 /// rebuild was deferred. Owned by QbsIndex once EnableUpdates() has run.
 struct UpdatableState {
   std::vector<LabelColumnState> columns;
-  /// dirty[i] != 0: column i's labels/masks/meta/depths are stale (a
+  /// dirty[i] != 0: column i's labels/meta/depths are stale (a
   /// deferred delete); the column is rebuilt, never repaired.
   std::vector<uint8_t> dirty;
 
@@ -114,7 +109,7 @@ struct UpdatableState {
 };
 
 /// Initializes `state` for (g, labeling): runs one labelling BFS per column
-/// to capture exact depths and meta-edges, rewriting the labels/masks
+/// to capture exact depths and meta-edges, rewriting the labels
 /// bit-identically in passing (so it is safe after LoadFromFile too).
 /// Costs about one labelling build.
 void InitUpdatableState(const Graph& g, PathLabeling& labeling,
@@ -122,7 +117,7 @@ void InitUpdatableState(const Graph& g, PathLabeling& labeling,
 
 /// Applies an already-computed net change set to the labelling. `new_graph`
 /// must be the post-edit graph (ApplyNetChanges); the repair starts from
-/// the OLD depths/labels/masks still held in `state`/`labeling`. Repairs
+/// the OLD depths/labels still held in `state`/`labeling`. Repairs
 /// (or rebuilds / defers, see above) every column in parallel, rewrites
 /// the meta-graph, and updates `state` in place. Returns the column-level
 /// stats (the applied/noop script counters are the caller's, from

@@ -1,12 +1,12 @@
 // The dynamic-index gauntlet: edit scripts against QbsIndex::ApplyUpdates
 // must leave the index bit-identical to a from-scratch build on the
-// updated graph — labels, bit-parallel masks, meta-graph, the sparsified
-// graph G⁻, and answers (SameAnswer on sampled pairs, including d <= 2
-// pairs that exercise the mask fast path). Each seed runs a 25-batch
-// sequence on one index, so every batch starts from repaired state, and
-// rotates through script kinds aimed at the repair's hard cases: random
-// mixes, edits at landmark roots (including ones that renumber S_r), and
-// deletes that cut a subtree off followed by inserts that reconnect it.
+// updated graph — labels, meta-graph, the sparsified graph G⁻, and answers
+// (SameAnswer on sampled pairs, including d <= 2 pairs that exercise the
+// label fast path). Each seed runs a 25-batch sequence on one index, so
+// every batch starts from repaired state, and rotates through script kinds
+// aimed at the repair's hard cases: random mixes, edits at landmark roots,
+// and deletes that cut a subtree off followed by inserts that reconnect
+// it.
 // A second gauntlet drives ApplyNetToLabeling on a standalone
 // UpdatableState and checks every stored column depth against a BFS.
 //
@@ -73,8 +73,7 @@ Graph MakeFamilyGraph(uint64_t seed) {
       return ErdosRenyi(200, 380, seed);
     default: {
       // G(n, m) plus a hub with 120 neighbours: the hub is a landmark whose
-      // S_r (first 64 non-landmark neighbours) leaves neighbours out, so
-      // root edits both renumber S_r and leave it alone.
+      // root edits move many depth-1 vertices at once.
       std::vector<Edge> edges = ErdosRenyi(200, 380, seed).EdgeList();
       for (VertexId v = 1; v <= 120; ++v) edges.emplace_back(0, v);
       return Graph::FromEdges(200, std::move(edges));
@@ -104,9 +103,9 @@ GraphDelta RandomScript(const Graph& g, std::mt19937_64& rng, size_t ops) {
   return delta;
 }
 
-// Edits at landmark roots: deletes of root edges into S_r (renumbering its
-// bits), inserts of root edges (renumbering S_r when the new neighbour's id
-// falls inside it), and same-level edits between two S_r members.
+// Edits at landmark roots: deletes of root edges into the root's first 64
+// non-landmark neighbours, inserts of root edges, and same-level edits
+// between two of those neighbours (edges that move no depth).
 GraphDelta RootScript(const Graph& g, const std::vector<VertexId>& landmarks,
                       std::mt19937_64& rng, size_t ops) {
   std::uniform_int_distribution<VertexId> vtx(0, g.NumVertices() - 1);
@@ -217,23 +216,18 @@ void AssertSameScheme(const Graph& g, const QbsIndex& updated,
   const PathLabeling& a = updated.labeling();
   const PathLabeling& b = fresh.labeling();
   ASSERT_EQ(a.landmarks(), b.landmarks());
-  ASSERT_EQ(a.has_bp_masks(), b.has_bp_masks());
   const uint32_t k = a.num_landmarks();
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     for (uint32_t i = 0; i < k; ++i) {
       ASSERT_EQ(a.Get(v, i), b.Get(v, i))
           << "label mismatch at v=" << v << " landmark=" << i;
-      if (a.has_bp_masks()) {
-        ASSERT_EQ(a.GetBpMask(v, i), b.GetBpMask(v, i))
-            << "bp mask mismatch at v=" << v << " landmark=" << i;
-      }
     }
   }
   ASSERT_EQ(updated.meta_graph().Edges(), fresh.meta_graph().Edges());
 }
 
-// Sampled pairs + adjacent and two-hop pairs (the d <= 2 bit-parallel
-// fast path must stay bit-identical too).
+// Sampled pairs + adjacent and two-hop pairs (the d <= 2 label fast path
+// must stay bit-identical too).
 std::vector<QueryPair> ProbePairs(const Graph& g, std::mt19937_64& rng) {
   std::vector<QueryPair> pairs = SampleQueryPairs(g, 25, rng());
   for (int i = 0; i < 10; ++i) {
@@ -270,10 +264,8 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
     QbsOptions options;
     options.num_landmarks = 8;
     options.num_threads = 2;
-    // Alternates with the family (seed % 4), so every family runs both.
-    options.bit_parallel = (seed / 4) % 2 == 0;
-    std::printf("[gauntlet] seed=%" PRIu64 " family=%" PRIu64 " bp=%d\n",
-                seed, seed % 4, options.bit_parallel ? 1 : 0);
+    std::printf("[gauntlet] seed=%" PRIu64 " family=%" PRIu64 "\n", seed,
+                seed % 4);
     QbsIndex index = QbsIndex::Build(g, options);
     index.EnableUpdates(&g, 2);
     const std::vector<VertexId> landmarks = index.landmarks();
@@ -306,9 +298,8 @@ TEST(DynamicUpdateTest, ColumnDepthsStayExact) {
     Graph g = MakeFamilyGraph(seed);
     LabelingBuildOptions build;
     build.num_threads = 2;
-    build.bit_parallel = (seed / 4) % 2 != 0;  // the other half of the pair
-    std::printf("[depths] seed=%" PRIu64 " family=%" PRIu64 " bp=%d\n", seed,
-                seed % 4, build.bit_parallel ? 1 : 0);
+    std::printf("[depths] seed=%" PRIu64 " family=%" PRIu64 "\n", seed,
+                seed % 4);
     const std::vector<VertexId> landmarks =
         SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, seed);
     LabelingScheme scheme = BuildLabelingScheme(g, landmarks, build);
@@ -334,17 +325,6 @@ TEST(DynamicUpdateTest, ColumnDepthsStayExact) {
         for (uint32_t i = 0; i < landmarks.size(); ++i) {
           ASSERT_EQ(scheme.labeling.Get(v, i), fresh.labeling.Get(v, i))
               << "label at v=" << v << " column " << i << " batch " << batch;
-          if (build.bit_parallel) {
-            ASSERT_EQ(scheme.labeling.GetBpMask(v, i),
-                      fresh.labeling.GetBpMask(v, i))
-                << "mask at v=" << v << " column " << i << " batch " << batch;
-          }
-        }
-      }
-      if (build.bit_parallel) {
-        for (uint32_t i = 0; i < landmarks.size(); ++i) {
-          ASSERT_EQ(scheme.labeling.BpSelected(i),
-                    fresh.labeling.BpSelected(i));
         }
       }
       ASSERT_EQ(scheme.meta.Edges(), fresh.meta.Edges()) << "batch " << batch;

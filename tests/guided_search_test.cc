@@ -5,6 +5,7 @@
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "tests/test_util.h"
 
 namespace qbs {
@@ -161,6 +162,57 @@ TEST(GuidedSearchTest, PathGraphLongDistances) {
   EXPECT_EQ(searcher.Query(0, 199), SpgByDoubleBfs(g, 0, 199));
   EXPECT_EQ(searcher.Query(50, 150), SpgByDoubleBfs(g, 50, 150));
   EXPECT_EQ(searcher.Query(0, 99), SpgByDoubleBfs(g, 0, 99));
+}
+
+// d <= 2 pairs never scan a reverse or recover edge. Pairs whose sketch
+// bound d⊤ is <= 2 resolve on the label fast path with zero search scans;
+// d >= 3 pairs never do. Sources include the landmarks, whose
+// neighbourhoods always take the fast path; landmark endpoints resolve via
+// the other side's label row.
+TEST(GuidedSearchTest, ShortDistancesSkipReverseAndRecover) {
+  for (int family = 0; family < 4; ++family) {
+    const uint64_t seed = 21 + family;
+    const Graph g = testing::SmallFamilyGraph(family, seed);
+    const auto landmarks =
+        SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, seed);
+    const auto scheme = BuildLabelingScheme(g, landmarks);
+    GuidedSearcher searcher(g, scheme.labeling, scheme.meta);
+
+    std::vector<VertexId> sources = landmarks;
+    for (VertexId s = 0; s < g.NumVertices(); s += g.NumVertices() / 6 + 1) {
+      sources.push_back(s);
+    }
+    size_t close = 0;
+    size_t fast = 0;
+    size_t far = 0;
+    for (const VertexId s : sources) {
+      const auto dist = BfsDistances(g, s);
+      for (VertexId t = 0; t < g.NumVertices(); ++t) {
+        if (s == t || dist[t] == kUnreachable) continue;
+        SearchStats stats;
+        ASSERT_EQ(searcher.Query(s, t, &stats), SpgByDoubleBfs(g, s, t))
+            << "family=" << family << " s=" << s << " t=" << t;
+        if (dist[t] > 2) {
+          ++far;
+          EXPECT_EQ(stats.label_short_circuits, 0u) << "s=" << s << " t=" << t;
+          continue;
+        }
+        ++close;
+        EXPECT_EQ(stats.edges_scanned_reverse, 0u) << "s=" << s << " t=" << t;
+        EXPECT_EQ(stats.edges_scanned_recover, 0u) << "s=" << s << " t=" << t;
+        const bool short_sketch = stats.d_top <= 2;
+        EXPECT_EQ(stats.label_short_circuits, short_sketch ? 1u : 0u)
+            << "s=" << s << " t=" << t << " d_top=" << stats.d_top;
+        if (short_sketch) {
+          ++fast;
+          EXPECT_EQ(stats.edges_scanned_search, 0u) << "s=" << s << " t=" << t;
+        }
+      }
+    }
+    EXPECT_GT(close, 0u) << "family=" << family;
+    EXPECT_GT(fast, 0u) << "family=" << family;
+    EXPECT_GT(far, 0u) << "family=" << family;
+  }
 }
 
 }  // namespace

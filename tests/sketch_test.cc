@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/label_scan.h"
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "core/sketch.h"
@@ -131,6 +132,81 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BoundParam{0, 1, 5}, BoundParam{0, 2, 10},
                       BoundParam{1, 3, 5}, BoundParam{1, 4, 10},
                       BoundParam{2, 5, 5}, BoundParam{2, 6, 10}));
+
+// The label bounds bracket the BFS distance: lower <= d <= upper for every
+// pair sharing a landmark, through every compiled scan kernel and the
+// batched sweep, which all agree bit for bit. Disconnected pairs share no
+// landmark and get {0, kUnreachable}. Sources include the landmarks, so
+// the bounds are tight somewhere.
+class LabelBoundProperty : public ::testing::TestWithParam<BoundParam> {};
+
+TEST_P(LabelBoundProperty, BoundsBracketBfsDistance) {
+  const auto& p = GetParam();
+  const Graph g = testing::SmallFamilyGraph(p.family, p.seed);
+  const auto landmarks =
+      SelectLandmarks(g, p.k, LandmarkStrategy::kHighestDegree, p.seed);
+  const auto scheme = BuildLabelingScheme(g, landmarks);
+  const PathLabeling& l = scheme.labeling;
+
+  std::vector<VertexId> sources = landmarks;
+  for (VertexId s = 0; s < g.NumVertices(); s += g.NumVertices() / 8 + 1) {
+    sources.push_back(s);
+  }
+  std::vector<VertexId> us;
+  std::vector<VertexId> vs;
+  std::vector<uint32_t> dists;
+  for (const VertexId s : sources) {
+    const auto dist = BfsDistances(g, s);
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      if (s == t) continue;
+      us.push_back(s);
+      vs.push_back(t);
+      dists.push_back(dist[t]);
+    }
+  }
+
+  const ScanKernel saved = ActiveScanKernel();
+  std::vector<LabelBound> scalar_bounds;
+  for (const ScanKernel kernel : SupportedScanKernels()) {
+    SetActiveScanKernel(kernel);
+    const char* kname = ScanOpsFor(kernel).name;
+    std::vector<LabelBound> batched(us.size());
+    ComputeLabelBoundsBatch(l, scheme.meta, us.data(), vs.data(), us.size(),
+                            kUnreachable, batched.data());
+    size_t tight = 0;
+    for (size_t i = 0; i < us.size(); ++i) {
+      const LabelBound bound = ComputeLabelBound(l, scheme.meta, us[i], vs[i]);
+      const uint32_t d = dists[i];
+      if (d == kUnreachable) {
+        ASSERT_EQ(bound.lower, 0u) << kname;
+        ASSERT_EQ(bound.upper, kUnreachable) << kname;
+      } else {
+        ASSERT_LE(bound.lower, d) << kname << " u=" << us[i] << " v=" << vs[i];
+        if (bound.upper != kUnreachable) {
+          ASSERT_GE(bound.upper, d)
+              << kname << " u=" << us[i] << " v=" << vs[i];
+        }
+        if (bound.lower == d && bound.upper == d) ++tight;
+      }
+      ASSERT_EQ(batched[i].lower, bound.lower) << kname << " pair " << i;
+      ASSERT_EQ(batched[i].upper, bound.upper) << kname << " pair " << i;
+      if (kernel == ScanKernel::kScalar) {
+        scalar_bounds.push_back(bound);
+      } else {
+        ASSERT_EQ(bound.lower, scalar_bounds[i].lower) << kname;
+        ASSERT_EQ(bound.upper, scalar_bounds[i].upper) << kname;
+      }
+    }
+    EXPECT_GT(tight, 0u) << kname;
+  }
+  SetActiveScanKernel(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Families, LabelBoundProperty,
+    ::testing::Values(BoundParam{0, 21, 8}, BoundParam{1, 22, 10},
+                      BoundParam{2, 23, 6}, BoundParam{3, 24, 5},
+                      BoundParam{0, 25, 20}));
 
 }  // namespace
 }  // namespace qbs

@@ -9,11 +9,29 @@
 #include <vector>
 
 #include "core/labeling.h"
+#include "gen/generators.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
 #include "graph/spg.h"
 
 namespace qbs::testing {
+
+// Four small graph families with different distance profiles for the
+// label-bound and fast-path property tests: scale-free, raw G(n, m)
+// (possibly disconnected), small-world, and a grid (long distances, no
+// hubs).
+inline Graph SmallFamilyGraph(int family, uint64_t seed) {
+  switch (family) {
+    case 0:
+      return BarabasiAlbert(150, 3, seed);
+    case 1:
+      return ErdosRenyi(150, 200, seed);
+    case 2:
+      return WattsStrogatz(150, 4, 0.2, seed);
+    default:
+      return GridGraph(10, 12);
+  }
+}
 
 // Builds a graph from 1-indexed edge pairs (the paper's figures number
 // vertices from 1); vertex k in the paper is vertex k-1 here.
