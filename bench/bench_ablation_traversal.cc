@@ -13,7 +13,6 @@
 
 #include "baselines/bibfs.h"
 #include "bench/bench_common.h"
-#include "core/label_scan.h"
 #include "core/qbs_index.h"
 #include "graph/frontier.h"
 #include "util/timer.h"
@@ -87,101 +86,6 @@ void Run() {
   table.Footer();
 }
 
-// Label-scan kernel ablation: the per-query fused row merge (the dense
-// O(|R|) inner loop of ComputeLabelBound) timed per kernel — scalar
-// reference, the SIMD kernel the dispatcher picked for this CPU, and the
-// batched kScanBatch-pair interleaved sweep. Reports ms per bound (all
-// three "(ms)" columns ride the CI bench_compare gate), ns per row
-// scanned, and batched bound throughput. The checksums double as a free
-// differential check: the kernels are bit-identical by contract, so any
-// mismatch is printed loudly.
-void RunLabelScanKernelAblation() {
-  std::printf("Label-scan kernels: scalar vs %s vs batched row sweep, "
-              "|R| = 20, %zu pairs\n",
-              ScanOpsFor(ScanKernel::kAvx2).name, EnvPairs());
-  TablePrinter table("Label-scan kernels",
-                     {"Dataset", "scal(ms)", "simd(ms)", "batch(ms)",
-                      "spdup", "b.spdup", "ns/r.s", "ns/r.v", "ns/r.b",
-                      "kq/s.b"},
-                     {12, 10, 10, 10, 7, 8, 8, 8, 8, 9});
-  for (const auto& ref : SelectedBenchDatasets()) {
-    const LoadedDataset d = LoadDataset(ref);
-    const Graph& g = d.graph;
-
-    QbsOptions options;
-    options.num_landmarks = 20;
-    options.num_threads = EnvThreads();
-    QbsIndex index = QbsIndex::Build(g, options);
-    const PathLabeling& l = index.labeling();
-
-    // The row kernels serve non-landmark pairs; landmark endpoints take
-    // the scalar special cases and are excluded here.
-    std::vector<VertexId> us;
-    std::vector<VertexId> vs;
-    for (const auto& [u, v] : d.pairs) {
-      if (u == v || l.IsLandmark(u) || l.IsLandmark(v)) continue;
-      us.push_back(u);
-      vs.push_back(v);
-    }
-    if (us.empty()) continue;
-    // Repeat small pair sets so every cell aggregates >= ~200k bounds.
-    const size_t reps = std::max<size_t>(1, 200000 / us.size());
-    const double calls = static_cast<double>(reps * us.size());
-    const double rows = calls * 2.0;
-
-    const ScanOps& scalar_ops = ScalarScanOps();
-    const ScanOps& simd_ops = ScanOpsFor(ScanKernel::kAvx2);
-    std::vector<LabelBound> batch(us.size());
-
-    uint64_t sink[3] = {0, 0, 0};
-    WallTimer timer;
-    for (size_t r = 0; r < reps; ++r) {
-      for (size_t i = 0; i < us.size(); ++i) {
-        const LabelBound b =
-            ComputeLabelBoundRows(l, us[i], vs[i], scalar_ops);
-        sink[0] += b.lower + b.upper;
-      }
-    }
-    const double ms_scalar = timer.ElapsedMillis();
-
-    timer.Reset();
-    for (size_t r = 0; r < reps; ++r) {
-      for (size_t i = 0; i < us.size(); ++i) {
-        const LabelBound b =
-            ComputeLabelBoundRows(l, us[i], vs[i], simd_ops);
-        sink[1] += b.lower + b.upper;
-      }
-    }
-    const double ms_simd = timer.ElapsedMillis();
-
-    timer.Reset();
-    for (size_t r = 0; r < reps; ++r) {
-      ComputeLabelBoundRowsBatch(l, us.data(), vs.data(), us.size(),
-                                 batch.data(), simd_ops);
-      for (const LabelBound& b : batch) sink[2] += b.lower + b.upper;
-    }
-    const double ms_batch = timer.ElapsedMillis();
-
-    if (sink[0] != sink[1] || sink[0] != sink[2]) {
-      std::printf("  WARNING: kernel checksum mismatch on %s "
-                  "(scalar %llu, simd %llu, batch %llu)\n",
-                  d.spec.abbrev.c_str(),
-                  static_cast<unsigned long long>(sink[0]),
-                  static_cast<unsigned long long>(sink[1]),
-                  static_cast<unsigned long long>(sink[2]));
-    }
-    table.Row({d.spec.abbrev, FormatMs(ms_scalar / calls),
-               FormatMs(ms_simd / calls), FormatMs(ms_batch / calls),
-               FormatDouble(ms_simd > 0 ? ms_scalar / ms_simd : 0.0, 2),
-               FormatDouble(ms_batch > 0 ? ms_scalar / ms_batch : 0.0, 2),
-               FormatDouble(ms_scalar * 1e6 / rows, 1),
-               FormatDouble(ms_simd * 1e6 / rows, 1),
-               FormatDouble(ms_batch * 1e6 / rows, 1),
-               FormatDouble(ms_batch > 0 ? calls / ms_batch : 0.0, 0)});
-  }
-  table.Footer();
-}
-
 // Direction-switching ablation: a full-graph BFS from the 5 highest-degree
 // vertices, top-down versus direction-optimizing, with the engine's scan
 // counters. This is the per-landmark kernel of Algorithm 2 construction.
@@ -233,6 +137,5 @@ void RunFrontierAblation() {
 int main(int argc, char** argv) {
   qbs::bench::InitBenchArgs(argc, argv);
   qbs::bench::Run();
-  qbs::bench::RunLabelScanKernelAblation();
   qbs::bench::RunFrontierAblation();
 }

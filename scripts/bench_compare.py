@@ -22,6 +22,10 @@ formatter truncates sub-resolution timings to 0.00, and flagging
 granularity — and non-finite values (inf/nan from a crashed or division-
 degenerate bench cell) are equally meaningless to gate on.
 
+A gated baseline row with no counterpart in the current dump (a bench
+table that was retired or had its columns renamed) is not an error
+either: it is listed with a warning and the comparison passes.
+
 A missing or unreadable *baseline* is not an error: the first run on a
 fresh branch has no artifact to compare against, so the script warns and
 passes (exit 0). A missing *current* dump is still an error — the bench
@@ -126,6 +130,15 @@ def main():
             ratio = c / b
             print(f"{key[1]:>12} {col:>12}: {b:9.4f} -> {c:9.4f} "
                   f"({ratio:5.2f}x) {status}")
+
+    for key, base_row in sorted(base.items()):
+        if key in cur:
+            continue
+        gone = [col for col in base_row if gate(col) is not None]
+        if gone:
+            print(f"bench_compare: baseline row {key[1]} has no counterpart "
+                  f"in the current dump; not gated: {', '.join(gone)}",
+                  file=sys.stderr)
 
     if compared == 0:
         print("bench_compare: no comparable cells found; passing")

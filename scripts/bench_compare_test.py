@@ -108,6 +108,17 @@ class BenchCompareTest(unittest.TestCase):
         code, out = run_compare(base, cur)
         self.assertEqual(code, 0, out)
 
+    def test_retired_table_warns_and_passes(self):
+        # A table dropped from the bench (its gated columns gone from the
+        # current dump) is listed, not gated.
+        kept = table(["DO,0.100,2.00,55.0"])
+        retired = table(["DO,0.001,0.002,0.003"],
+                        header="Dataset,scal(ms),simd(ms),batch(ms)")
+        code, out = run_compare(kept + retired, kept)
+        self.assertEqual(code, 0, out)
+        self.assertIn("no counterpart in the current dump", out)
+        self.assertIn("scal(ms), simd(ms), batch(ms)", out)
+
     def test_noise_floor_suppresses_tiny_absolute_increase(self):
         # 3x ratio but only +0.0006ms: below --min-ms, so not a regression.
         base = table(["DO,0.0003,2.00,55.0"])

@@ -18,23 +18,6 @@ Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
   return Graph::FromEdges(g.NumVertices(), std::move(edges));
 }
 
-GuidedSearcher::GuidedSearcher(const Graph& g, const PathLabeling& labeling,
-                               const MetaGraph& meta, const DeltaCache* delta)
-    : g_(g), labeling_(labeling), meta_(meta), delta_(delta) {
-  QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
-  QBS_CHECK(meta.finalized());
-  // Materialize G⁻ = G[V \ R] once; searches then traverse it directly
-  // instead of filtering per edge.
-  gminus_storage_ = MakeSparsifiedGraph(g, labeling);
-  gminus_ = &gminus_storage_;
-  for (int s = 0; s < 2; ++s) {
-    depth_[s].Resize(g.NumVertices(), kUnreachable);
-    back_mark_[s].Resize(g.NumVertices(), 0);
-  }
-  walk_mark_.assign(g.NumVertices(), 0);
-  walk_session_.Resize(labeling.num_landmarks(), 0);
-}
-
 GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
                                const PathLabeling& labeling,
                                const MetaGraph& meta, const DeltaCache* delta)

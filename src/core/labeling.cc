@@ -152,13 +152,8 @@ PathLabeling::PathLabeling(VertexId num_vertices,
     QBS_CHECK_EQ(landmark_rank_[landmarks_[i]], -1);  // distinct
     landmark_rank_[landmarks_[i]] = static_cast<int32_t>(i);
   }
-  // Rows are padded to the SIMD lane width; padding lanes hold kInfDist
-  // forever (Set never writes past |R|), which is what lets the row
-  // kernels scan the full stride without a tail loop.
-  stride_ = (static_cast<uint32_t>(landmarks_.size()) + kLabelRowLaneAlign -
-             1) /
-            kLabelRowLaneAlign * kLabelRowLaneAlign;
-  dist_.assign(static_cast<size_t>(num_vertices_) * stride_, kInfDist);
+  dist_.assign(static_cast<size_t>(num_vertices_) * landmarks_.size(),
+               kInfDist);
 }
 
 uint64_t PathLabeling::NumEntries() const {
@@ -183,7 +178,7 @@ void PathLabeling::AssignFromColumns(const std::vector<DistT>& cols) {
       const size_t i1 = std::min(i0 + kTile, k);
       for (size_t v = v0; v < v1; ++v) {
         for (size_t i = i0; i < i1; ++i) {
-          dist_[v * stride_ + i] = cols[i * n + v];
+          dist_[v * k + i] = cols[i * n + v];
         }
       }
     }

@@ -5,9 +5,11 @@
 // shortest path between u and r passes through no other landmark. The
 // companion meta-graph M records how landmarks interconnect.
 //
-// Storage: a dense |V| × |R| matrix of DistT (kInfDist = entry absent).
-// With the paper's default |R| = 20 a label is 40 bytes — "not much larger
-// than the original graph", usually far smaller.
+// Storage: a dense |V| × |R| matrix of DistT (kInfDist = entry absent),
+// one unpadded row of |R| lanes per vertex. With the paper's default
+// |R| = 20 a label is 40 bytes — "not much larger than the original
+// graph", usually far smaller. Queries read a row with a plain loop over
+// its |R| lanes (core/sketch.cc).
 //
 // Lemma 5.2: the scheme is uniquely determined by (G, R), independent of
 // landmark order, so construction parallelizes per landmark with no
@@ -26,21 +28,8 @@
 #include "core/meta_graph.h"
 #include "core/types.h"
 #include "graph/graph.h"
-#include "util/aligned.h"
 
 namespace qbs {
-
-/// Label rows are padded to a multiple of this many DistT lanes (16 lanes
-/// x 2 bytes = one 32-byte AVX2 vector) and the matrix storage is 32-byte
-/// aligned, so the SIMD row kernels (core/label_scan.h) scan whole rows
-/// with full-width aligned loads and no tail loop. Padding lanes always
-/// hold kInfDist — the "entry absent" sentinel — so every kernel can scan
-/// the padded width blindly: an absent lane contributes nothing to any
-/// bound or candidate list.
-inline constexpr uint32_t kLabelRowLaneAlign = 16;
-
-/// The dense label matrix storage: 32-byte aligned for the SIMD kernels.
-using LabelMatrix = std::vector<DistT, AlignedAllocator<DistT, 32>>;
 
 class PathLabeling {
  public:
@@ -69,22 +58,17 @@ class PathLabeling {
   /// δ_{v, r_i}, or kInfDist if r_i ∉ L(v). Landmarks carry no stored labels
   /// (Definition 4.2 assigns labels to V \ R only).
   DistT Get(VertexId v, LandmarkIndex i) const {
-    return dist_[static_cast<size_t>(v) * stride_ + i];
+    return dist_[static_cast<size_t>(v) * num_landmarks() + i];
   }
 
   void Set(VertexId v, LandmarkIndex i, DistT d) {
-    dist_[static_cast<size_t>(v) * stride_ + i] = d;
+    dist_[static_cast<size_t>(v) * num_landmarks() + i] = d;
   }
 
-  /// The label row of v: `row_stride()` DistT lanes, 32-byte aligned.
-  /// Lanes [num_landmarks(), row_stride()) are padding and always hold
-  /// kInfDist (see kLabelRowLaneAlign) — kernels scan the full stride.
+  /// The label row of v: num_landmarks() DistT lanes, lane i = Get(v, i).
   const DistT* Row(VertexId v) const {
-    return dist_.data() + static_cast<size_t>(v) * stride_;
+    return dist_.data() + static_cast<size_t>(v) * num_landmarks();
   }
-
-  /// Lanes per row: num_landmarks() rounded up to kLabelRowLaneAlign.
-  uint32_t row_stride() const { return stride_; }
 
   /// Number of finite labelling entries: size(L) = Σ_v |L(v)| (§2).
   uint64_t NumEntries() const;
@@ -98,8 +82,6 @@ class PathLabeling {
 
   /// Bytes of the dense label matrix, the quantity Table 3 reports as
   /// size(L) (the paper stores |R| fixed-width slots per vertex, as we do).
-  /// Logical |V| x |R| bytes — row padding is an in-memory layout detail
-  /// and is excluded to keep the number paper-comparable.
   uint64_t SizeBytes() const {
     return static_cast<uint64_t>(num_vertices_) * num_landmarks() *
            sizeof(DistT);
@@ -110,10 +92,9 @@ class PathLabeling {
 
  private:
   VertexId num_vertices_ = 0;
-  uint32_t stride_ = 0;  // row lanes: |R| rounded up to kLabelRowLaneAlign
   std::vector<VertexId> landmarks_;
   std::vector<int32_t> landmark_rank_;
-  LabelMatrix dist_;  // |V| x stride_, 32-byte aligned, padding = kInfDist
+  std::vector<DistT> dist_;  // |V| x |R|, vertex-major
 };
 
 struct LabelingScheme {

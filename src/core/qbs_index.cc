@@ -4,7 +4,6 @@
 #include <iostream>
 #include <utility>
 
-#include "core/label_scan.h"
 #include "core/serialization.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -25,7 +24,6 @@ QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,
                                       const QbsOptions& options) {
   QbsIndex index;
   index.g_ = &g;
-  if (options.force_scalar_scan) SetActiveScanKernel(ScanKernel::kScalar);
 
   WallTimer timer;
   LabelingBuildOptions build_options;
@@ -63,7 +61,6 @@ std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
   }
   QbsIndex index;
   index.g_ = &g;
-  if (options.force_scalar_scan) SetActiveScanKernel(ScanKernel::kScalar);
   index.scheme_ = std::make_unique<LabelingScheme>(std::move(*scheme));
   if (options.precompute_delta) {
     WallTimer timer;
@@ -257,7 +254,11 @@ uint32_t QbsIndex::DistanceUpperBound(VertexId u, VertexId v) const {
   QBS_CHECK_LT(u, g_->NumVertices());
   QBS_CHECK_LT(v, g_->NumVertices());
   if (u == v) return 0;
-  return ComputeSketch(scheme_->labeling, scheme_->meta, u, v).d_top;
+  Sketch sketch;
+  SketchScratch scratch;
+  ComputeSketchInto(scheme_->labeling, scheme_->meta, u, v, &sketch, &scratch,
+                    /*with_meta_edges=*/false);
+  return sketch.d_top;
 }
 
 }  // namespace qbs

@@ -55,12 +55,6 @@ struct QbsOptions {
   bool bit_parallel = true;
   /// Inert. Kept for perfbench; delete at the next benchmark revision.
   bool bp_fused = true;
-  /// Force the scalar label-scan kernels (core/label_scan.h), the
-  /// programmatic equivalent of QBS_FORCE_SCALAR_SCAN=1. The kernel switch
-  /// is process-wide (SetActiveScanKernel at Build/Load), not per-index;
-  /// answers are bit-identical either way — this exists for ablations and
-  /// for pinning down kernel-specific misbehaviour in the field.
-  bool force_scalar_scan = false;
 };
 
 struct QbsBuildTimings {

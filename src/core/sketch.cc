@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/label_scan.h"
 #include "util/check.h"
 
 namespace qbs {
@@ -15,17 +14,11 @@ void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
     out->push_back(SketchAnchor{static_cast<LandmarkIndex>(rank), 0});
     return;
   }
-  // Kernel-dispatched present-lane extraction; padding lanes are kInfDist
-  // and contribute nothing, so scanning the full stride is equivalent to
-  // the per-landmark loop.
-  ActiveScanOps().row_candidates(labeling.Row(t), labeling.row_stride(), out);
-}
-
-std::vector<SketchAnchor> AnchorCandidates(const PathLabeling& labeling,
-                                           VertexId t) {
-  std::vector<SketchAnchor> out;
-  ComputeAnchorCandidatesInto(labeling, t, &out);
-  return out;
+  const DistT* row = labeling.Row(t);
+  const uint32_t lanes = labeling.num_landmarks();
+  for (uint32_t i = 0; i < lanes; ++i) {
+    if (row[i] != kInfDist) out->push_back(SketchAnchor{i, row[i]});
+  }
 }
 
 Sketch ComputeSketch(const PathLabeling& labeling, const MetaGraph& meta,
@@ -102,32 +95,6 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
   }
 }
 
-LabelBound ComputeLabelBoundFromCandidates(
-    const std::vector<SketchAnchor>& cu, const std::vector<SketchAnchor>& cv) {
-  LabelBound bound;
-  // Sorted merge on landmark index (both rows ascend by construction).
-  size_t iu = 0;
-  size_t iv = 0;
-  while (iu < cu.size() && iv < cv.size()) {
-    if (cu[iu].landmark < cv[iv].landmark) {
-      ++iu;
-      continue;
-    }
-    if (cv[iv].landmark < cu[iu].landmark) {
-      ++iv;
-      continue;
-    }
-    const DistT du = cu[iu].delta;
-    const DistT dv = cv[iv].delta;
-    ++iu;
-    ++iv;
-    const uint32_t base = du > dv ? du - dv : dv - du;
-    bound.lower = std::max(bound.lower, base);
-    bound.upper = std::min(bound.upper, static_cast<uint32_t>(du) + dv);
-  }
-  return bound;
-}
-
 LabelBound ComputeLabelBound(const PathLabeling& labeling,
                              const MetaGraph& meta, VertexId u, VertexId v,
                              uint32_t /*refine_cutoff*/) {
@@ -152,39 +119,28 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
     if (d != kInfDist) bound = LabelBound{d, d};
     return bound;
   }
-  // Non-landmark pair: the kernel-dispatched fused row scan, bit-identical
-  // to the candidate merge over the same rows.
-  return ComputeLabelBoundRows(labeling, u, v);
+  // Non-landmark pair: one fused pass over both rows, over the lanes
+  // present in both. Sums are 32-bit, so near-sentinel rows stay exact.
+  const DistT* ru = labeling.Row(u);
+  const DistT* rv = labeling.Row(v);
+  const uint32_t lanes = labeling.num_landmarks();
+  LabelBound bound;
+  for (uint32_t i = 0; i < lanes; ++i) {
+    const DistT du = ru[i];
+    const DistT dv = rv[i];
+    if (du == kInfDist || dv == kInfDist) continue;
+    bound.lower = std::max<uint32_t>(bound.lower, du > dv ? du - dv : dv - du);
+    bound.upper = std::min(bound.upper, static_cast<uint32_t>(du) + dv);
+  }
+  return bound;
 }
 
 void ComputeLabelBoundsBatch(const PathLabeling& labeling,
                              const MetaGraph& meta, const VertexId* us,
                              const VertexId* vs, size_t n,
                              uint32_t /*refine_cutoff*/, LabelBound* bounds) {
-  // Split off pairs needing the scalar special cases; everything else
-  // streams through the interleaved batch kernel.
-  std::vector<size_t> row_idx;
-  std::vector<VertexId> row_us;
-  std::vector<VertexId> row_vs;
-  row_idx.reserve(n);
-  row_us.reserve(n);
-  row_vs.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (labeling.IsLandmark(us[i]) || labeling.IsLandmark(vs[i])) {
-      bounds[i] = ComputeLabelBound(labeling, meta, us[i], vs[i]);
-    } else {
-      row_idx.push_back(i);
-      row_us.push_back(us[i]);
-      row_vs.push_back(vs[i]);
-    }
-  }
-  if (row_idx.empty()) return;
-  std::vector<LabelBound> row_bounds(row_idx.size());
-  ComputeLabelBoundRowsBatch(labeling, row_us.data(), row_vs.data(),
-                             row_idx.size(), row_bounds.data(),
-                             ActiveScanOps());
-  for (size_t j = 0; j < row_idx.size(); ++j) {
-    bounds[row_idx[j]] = row_bounds[j];
+    bounds[i] = ComputeLabelBound(labeling, meta, us[i], vs[i]);
   }
 }
 

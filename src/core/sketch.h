@@ -11,7 +11,9 @@
 //   * d*_u, d*_v — per-side search depth suggestions (Eq. 4).
 //
 // With the meta-graph APSP precomputed (§5.2) this costs
-// O(|L(u)|·|L(v)| + |E_M|) = O(|R|^2).
+// O(|L(u)|·|L(v)| + |E_M|) = O(|R|^2). Reading the two label rows is a
+// plain O(|R|) loop over num_landmarks() lanes, a small share of that; the
+// same loop gives the label-only distance bounds (ComputeLabelBound).
 
 #ifndef QBS_CORE_SKETCH_H_
 #define QBS_CORE_SKETCH_H_
@@ -85,9 +87,9 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
                        SketchScratch* scratch, bool with_meta_edges = true,
                        bool reuse_candidates = false);
 
-/// Allocation-free AnchorCandidates: clears and refills *out with the label
-/// entries of `t` in ascending landmark order (or the single virtual entry
-/// for a landmark).
+/// Clears and refills *out with the label entries of `t` as sketch-anchor
+/// candidates, in ascending landmark order: its stored label, or the single
+/// virtual entry (rank(t), 0) for a landmark.
 void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
                                  std::vector<SketchAnchor>* out);
 
@@ -96,11 +98,6 @@ void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
 /// (which still holds the minimizing pairs).
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,
                             SketchScratch* scratch);
-
-/// The label entries of `t` as sketch-anchor candidates: its stored label,
-/// or {(rank(t), 0)} if t is a landmark.
-std::vector<SketchAnchor> AnchorCandidates(const PathLabeling& labeling,
-                                           VertexId t);
 
 /// Distance bounds on d_G(u, v) read from the labelling alone — one fused
 /// scan of the two label rows, O(|R|), no graph access.
@@ -124,25 +121,13 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
                              const MetaGraph& meta, VertexId u, VertexId v,
                              uint32_t refine_cutoff = kUnreachable);
 
-/// Batched ComputeLabelBound: bounds[i] for the pair (us[i], vs[i]), each
-/// with us[i] != vs[i]. Non-landmark pairs stream through the active SIMD
-/// kernel's interleaved batch sweep (core/label_scan.h) in kScanBatch
-/// groups; pairs with a landmark endpoint take the scalar special cases.
-/// Results are identical to n calls of ComputeLabelBound. `refine_cutoff`
-/// is ignored.
-/// refine_cutoff kept for perfbench; delete at the next benchmark revision.
+/// bounds[i] = ComputeLabelBound(labeling, meta, us[i], vs[i]) for each
+/// i < n (us[i] != vs[i]). `refine_cutoff` is ignored.
+/// Kept for perfbench; delete at the next benchmark revision.
 void ComputeLabelBoundsBatch(const PathLabeling& labeling,
                              const MetaGraph& meta, const VertexId* us,
                              const VertexId* vs, size_t n,
                              uint32_t refine_cutoff, LabelBound* bounds);
-
-/// As ComputeLabelBound for non-landmark-pair queries, over candidate rows
-/// already produced by ComputeAnchorCandidatesInto(u) / (v) — a sorted
-/// merge on landmark index, no label-row re-scan. (A landmark endpoint is
-/// its single virtual entry; a landmark *pair* never shares a candidate, so
-/// callers handle that case via MetaGraph::Distance first.)
-LabelBound ComputeLabelBoundFromCandidates(const std::vector<SketchAnchor>& cu,
-                                           const std::vector<SketchAnchor>& cv);
 
 }  // namespace qbs
 

@@ -207,24 +207,17 @@ class QueryServer {
   void AcceptLoop();
   void HandleConnection(int fd, uint64_t conn_id);
   /// Handles one decoded frame; returns false when the connection should
-  /// close (shutdown, write failure). `reader` is the connection's frame
-  /// reader (null in contexts without one); the degraded path drains
-  /// already-buffered query frames from it to batch their label scans.
-  bool HandleFrame(Socket& sock, FaultInjector* injector, FrameReader* reader,
-                   const Frame& frame);
+  /// close (shutdown, write failure).
+  bool HandleFrame(Socket& sock, FaultInjector* injector, const Frame& frame);
   /// Executes (or cache-answers) one admitted query and sends the
   /// response; records latency in the matching class histogram.
-  bool ServeQuery(Socket& sock, FaultInjector* injector, FrameReader* reader,
+  bool ServeQuery(Socket& sock, FaultInjector* injector,
                   const QueryRequest& request);
-  /// Answers from the labelling alone — no searcher, no admission — with
-  /// kResponseFlagDegraded bounds (or an exact label-certified distance
-  /// when one exists). Under saturation the connection's already-buffered
-  /// query frames (up to kScanBatch in total, drained from `reader` —
-  /// buffer-only, no socket reads) ride one batched SIMD label sweep;
-  /// responses go out in arrival order, and the first non-query or
-  /// undecodable frame drained is replayed through HandleFrame afterwards.
-  bool ServeDegraded(Socket& sock, FaultInjector* injector,
-                     FrameReader* reader, const QueryRequest& request);
+  /// Answers one request from the labelling alone — no searcher, no
+  /// admission — with kResponseFlagDegraded bounds from one
+  /// ComputeLabelBound (or an exact label-certified distance when one
+  /// exists). Later frames on the connection take the normal loop.
+  bool ServeDegraded(Socket& sock, const QueryRequest& request);
   /// Applies one decoded edit script under the writer side of index_mu_
   /// and clears the result cache before releasing it; answers with
   /// kUpdateResponse.

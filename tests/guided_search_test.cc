@@ -20,10 +20,12 @@ class GuidedSearchFigure4Test : public ::testing::Test {
   GuidedSearchFigure4Test()
       : graph_(Figure4Graph()),
         scheme_(BuildLabelingScheme(graph_, Figure4Landmarks())),
-        searcher_(graph_, scheme_.labeling, scheme_.meta) {}
+        gminus_(MakeSparsifiedGraph(graph_, scheme_.labeling)),
+        searcher_(graph_, gminus_, scheme_.labeling, scheme_.meta) {}
 
   Graph graph_;
   LabelingScheme scheme_;
+  Graph gminus_;
   GuidedSearcher searcher_;
 };
 
@@ -94,7 +96,8 @@ TEST_F(GuidedSearchFigure4Test, StatsTrackSparsification) {
 TEST(GuidedSearchTest, DisconnectedPair) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   const auto scheme = BuildLabelingScheme(g, {1});
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta);
+  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta);
   SearchStats stats;
   const auto spg = searcher.Query(0, 5, &stats);
   EXPECT_FALSE(spg.Connected());
@@ -107,7 +110,8 @@ TEST(GuidedSearchTest, ComponentWithoutLandmarks) {
   Graph g = Graph::FromEdges(7, {{0, 1}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
                                  {2, 6}});
   const auto scheme = BuildLabelingScheme(g, {0});
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta);
+  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta);
   SearchStats stats;
   const auto spg = searcher.Query(2, 4, &stats);
   EXPECT_EQ(spg, SpgByDoubleBfs(g, 2, 4));
@@ -117,7 +121,8 @@ TEST(GuidedSearchTest, ComponentWithoutLandmarks) {
 TEST(GuidedSearchTest, AllPathsThroughLandmarkHub) {
   Graph g = StarGraph(12);
   const auto scheme = BuildLabelingScheme(g, {0});
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta);
+  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta);
   SearchStats stats;
   const auto spg = searcher.Query(3, 9, &stats);
   EXPECT_EQ(spg, SpgByDoubleBfs(g, 3, 9));
@@ -132,8 +137,9 @@ TEST(GuidedSearchTest, DeltaCacheGivesSameAnswers) {
       g, SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, 0));
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher plain(g, scheme.labeling, scheme.meta);
-  GuidedSearcher cached(g, scheme.labeling, scheme.meta, &delta);
+  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+  GuidedSearcher plain(g, gminus, scheme.labeling, scheme.meta);
+  GuidedSearcher cached(g, gminus, scheme.labeling, scheme.meta, &delta);
   uint64_t hits = 0;
   for (VertexId u = 0; u < 60; u += 3) {
     for (VertexId v = 100; v < 160; v += 7) {
@@ -148,7 +154,8 @@ TEST(GuidedSearchTest, DeltaCacheGivesSameAnswers) {
 TEST(GuidedSearchTest, QueryWithPrecomputedSketch) {
   Graph g = testing::Figure4Graph();
   const auto scheme = BuildLabelingScheme(g, testing::Figure4Landmarks());
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta);
+  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta);
   const Sketch sketch = ComputeSketch(scheme.labeling, scheme.meta, 5, 10);
   EXPECT_EQ(searcher.QueryWithSketch(5, 10, sketch),
             SpgByDoubleBfs(g, 5, 10));
@@ -158,7 +165,8 @@ TEST(GuidedSearchTest, PathGraphLongDistances) {
   // High-diameter regime: every label distance large, search bounded.
   Graph g = PathGraph(200);
   const auto scheme = BuildLabelingScheme(g, {100});
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta);
+  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta);
   EXPECT_EQ(searcher.Query(0, 199), SpgByDoubleBfs(g, 0, 199));
   EXPECT_EQ(searcher.Query(50, 150), SpgByDoubleBfs(g, 50, 150));
   EXPECT_EQ(searcher.Query(0, 99), SpgByDoubleBfs(g, 0, 99));
@@ -176,7 +184,8 @@ TEST(GuidedSearchTest, ShortDistancesSkipReverseAndRecover) {
     const auto landmarks =
         SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, seed);
     const auto scheme = BuildLabelingScheme(g, landmarks);
-    GuidedSearcher searcher(g, scheme.labeling, scheme.meta);
+    const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+    GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta);
 
     std::vector<VertexId> sources = landmarks;
     for (VertexId s = 0; s < g.NumVertices(); s += g.NumVertices() / 6 + 1) {

@@ -7,12 +7,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +23,9 @@
 
 #include "core/qbs_index.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "server/client.h"
+#include "server/protocol.h"
 #include "server/server.h"
 #include "workload/query_workload.h"
 #include "workload/synthetic_workload.h"
@@ -408,6 +412,107 @@ TEST_F(ServerTest, ServedWorkloadHitRateIsDeterministic) {
   const uint64_t second = run_once();
   EXPECT_EQ(first, second);
   EXPECT_GT(first, 0u);
+}
+
+TEST_F(ServerTest, PipelinedFramesOnTheDegradedPathAnswerInOrder) {
+  // Saturation as in the chaos plan `saturation-degrades`: one slot, and
+  // a hog whose query sleeps in it, so every later query is answered from
+  // the labels alone.
+  ServerOptions options;
+  options.max_inflight = 1;
+  options.degrade_after_inflight = 1;
+  const FaultPlan plan([] {
+    FaultSpec spec;
+    spec.query_delay_rate = 1.0;
+    spec.query_delay_ms = 1500;
+    return spec;
+  }());
+  options.fault_injector_factory = [&plan](uint64_t conn_id) {
+    return plan.MakeInjector(conn_id);
+  };
+  auto server = StartServer(options);
+  std::thread hog([&] {
+    QueryClient client;
+    if (!client.Connect("127.0.0.1", server->port())) return;
+    QueryResponse ignored;
+    client.Query(QueryRequest(1, 2, QueryMode::kSpg, 0, kQueryFlagNoCache),
+                 &ignored);
+  });
+  while (server->GetStats().admission_inflight < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  // Several query frames and then a ping, in one write on one connection.
+  std::vector<QueryRequest> requests;
+  for (const auto& [u, v] : SampleQueryPairs(g_, 6, 31)) {
+    requests.emplace_back(u, v, QueryMode::kSpg, 0, kQueryFlagNoCache);
+    requests.emplace_back(v, u, QueryMode::kDistance);
+  }
+  std::vector<uint8_t> wire;
+  for (const QueryRequest& request : requests) {
+    AppendFrame(&wire, FrameType::kQueryRequest, EncodeQueryRequest(request));
+  }
+  AppendFrame(&wire, FrameType::kPing, {});
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval recv_timeout{};
+  recv_timeout.tv_sec = 10;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+                         sizeof(recv_timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->port());
+  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+
+  // Exactly one response per frame, in arrival order; the ping's pong is
+  // last and nothing follows it.
+  FrameReader reader;
+  std::vector<Frame> frames;
+  uint8_t buf[4096];
+  while (frames.size() < requests.size() + 1) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "connection ended after " << frames.size()
+                    << " frames";
+    reader.Feed(std::span<const uint8_t>(buf, static_cast<size_t>(n)));
+    Frame frame;
+    while (reader.Next(&frame) == FrameReader::Status::kFrame) {
+      frames.push_back(std::move(frame));
+    }
+  }
+  ::close(fd);
+  ASSERT_EQ(frames.size(), requests.size() + 1);
+  EXPECT_EQ(frames.back().type, FrameType::kPong);
+
+  size_t degraded = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const QueryRequest& request = requests[i];
+    ASSERT_EQ(frames[i].type, FrameType::kQueryResponse) << "frame " << i;
+    QueryResponse response;
+    ASSERT_TRUE(DecodeQueryResponse(frames[i].payload, &response));
+    EXPECT_EQ(response.spg.u, request.u) << "frame " << i;
+    EXPECT_EQ(response.spg.v, request.v) << "frame " << i;
+    const uint32_t d = BfsDistances(g_, request.u)[request.v];
+    if (response.degraded()) {
+      ++degraded;
+      EXPECT_LE(response.degraded_lower, d) << request.u << "," << request.v;
+      EXPECT_GE(response.distance(), d) << request.u << "," << request.v;
+    } else {
+      // Only a distance query the labels certify exactly, or u == v,
+      // leaves the degraded path undegraded.
+      EXPECT_TRUE(request.mode == QueryMode::kDistance || request.u == request.v);
+      EXPECT_EQ(response.distance(), d) << request.u << "," << request.v;
+    }
+  }
+  EXPECT_GT(degraded, 0u);
+  EXPECT_EQ(server->GetStats().degraded, degraded);
+  hog.join();
+  server->Stop();
 }
 
 }  // namespace

@@ -1,8 +1,13 @@
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
-#include "core/label_scan.h"
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
+#include "core/serialization.h"
 #include "core/sketch.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -134,10 +139,9 @@ INSTANTIATE_TEST_SUITE_P(
                       BoundParam{2, 5, 5}, BoundParam{2, 6, 10}));
 
 // The label bounds bracket the BFS distance: lower <= d <= upper for every
-// pair sharing a landmark, through every compiled scan kernel and the
-// batched sweep, which all agree bit for bit. Disconnected pairs share no
-// landmark and get {0, kUnreachable}. Sources include the landmarks, so
-// the bounds are tight somewhere.
+// pair sharing a landmark, and the batched entry point agrees with single
+// calls. Disconnected pairs share no landmark and get {0, kUnreachable}.
+// Sources include the landmarks, so the bounds are tight somewhere.
 class LabelBoundProperty : public ::testing::TestWithParam<BoundParam> {};
 
 TEST_P(LabelBoundProperty, BoundsBracketBfsDistance) {
@@ -165,41 +169,27 @@ TEST_P(LabelBoundProperty, BoundsBracketBfsDistance) {
     }
   }
 
-  const ScanKernel saved = ActiveScanKernel();
-  std::vector<LabelBound> scalar_bounds;
-  for (const ScanKernel kernel : SupportedScanKernels()) {
-    SetActiveScanKernel(kernel);
-    const char* kname = ScanOpsFor(kernel).name;
-    std::vector<LabelBound> batched(us.size());
-    ComputeLabelBoundsBatch(l, scheme.meta, us.data(), vs.data(), us.size(),
-                            kUnreachable, batched.data());
-    size_t tight = 0;
-    for (size_t i = 0; i < us.size(); ++i) {
-      const LabelBound bound = ComputeLabelBound(l, scheme.meta, us[i], vs[i]);
-      const uint32_t d = dists[i];
-      if (d == kUnreachable) {
-        ASSERT_EQ(bound.lower, 0u) << kname;
-        ASSERT_EQ(bound.upper, kUnreachable) << kname;
-      } else {
-        ASSERT_LE(bound.lower, d) << kname << " u=" << us[i] << " v=" << vs[i];
-        if (bound.upper != kUnreachable) {
-          ASSERT_GE(bound.upper, d)
-              << kname << " u=" << us[i] << " v=" << vs[i];
-        }
-        if (bound.lower == d && bound.upper == d) ++tight;
+  std::vector<LabelBound> batched(us.size());
+  ComputeLabelBoundsBatch(l, scheme.meta, us.data(), vs.data(), us.size(),
+                          kUnreachable, batched.data());
+  size_t tight = 0;
+  for (size_t i = 0; i < us.size(); ++i) {
+    const LabelBound bound = ComputeLabelBound(l, scheme.meta, us[i], vs[i]);
+    const uint32_t d = dists[i];
+    if (d == kUnreachable) {
+      ASSERT_EQ(bound.lower, 0u);
+      ASSERT_EQ(bound.upper, kUnreachable);
+    } else {
+      ASSERT_LE(bound.lower, d) << "u=" << us[i] << " v=" << vs[i];
+      if (bound.upper != kUnreachable) {
+        ASSERT_GE(bound.upper, d) << "u=" << us[i] << " v=" << vs[i];
       }
-      ASSERT_EQ(batched[i].lower, bound.lower) << kname << " pair " << i;
-      ASSERT_EQ(batched[i].upper, bound.upper) << kname << " pair " << i;
-      if (kernel == ScanKernel::kScalar) {
-        scalar_bounds.push_back(bound);
-      } else {
-        ASSERT_EQ(bound.lower, scalar_bounds[i].lower) << kname;
-        ASSERT_EQ(bound.upper, scalar_bounds[i].upper) << kname;
-      }
+      if (bound.lower == d && bound.upper == d) ++tight;
     }
-    EXPECT_GT(tight, 0u) << kname;
+    ASSERT_EQ(batched[i].lower, bound.lower) << "pair " << i;
+    ASSERT_EQ(batched[i].upper, bound.upper) << "pair " << i;
   }
-  SetActiveScanKernel(saved);
+  EXPECT_GT(tight, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -207,6 +197,120 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BoundParam{0, 21, 8}, BoundParam{1, 22, 10},
                       BoundParam{2, 23, 6}, BoundParam{3, 24, 5},
                       BoundParam{0, 25, 20}));
+
+// A labelling whose first k vertices are the landmarks and whose remaining
+// `extra` vertices start with all-absent rows (filled by the test).
+PathLabeling SyntheticLabeling(uint32_t k, VertexId extra) {
+  std::vector<VertexId> landmarks(k);
+  for (uint32_t i = 0; i < k; ++i) landmarks[i] = i;
+  return PathLabeling(k + extra, std::move(landmarks));
+}
+
+// The row scan of ComputeLabelBound on hand-built rows of non-landmark
+// vertices, at row lengths around and across typical vector widths.
+class LabelRowScan : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(LabelRowScan, BoundOnHandBuiltRows) {
+  const uint32_t k = GetParam();
+  const MetaGraph meta(k);  // unused by non-landmark pairs
+  const VertexId u = k;
+  const VertexId v = k + 1;
+
+  // No shared landmark: the labels say nothing.
+  PathLabeling absent = SyntheticLabeling(k, 2);
+  LabelBound bound = ComputeLabelBound(absent, meta, u, v);
+  EXPECT_EQ(bound.lower, 0u);
+  EXPECT_EQ(bound.upper, kUnreachable);
+
+  // A single shared lane (the last one); every other lane is present on
+  // at most one side and must not contribute.
+  PathLabeling single = SyntheticLabeling(k, 2);
+  const LandmarkIndex last = k - 1;
+  single.Set(u, last, 3);
+  single.Set(v, last, 8);
+  for (LandmarkIndex i = 0; i < last; ++i) {
+    single.Set(i % 2 == 0 ? u : v, i, 1);
+  }
+  bound = ComputeLabelBound(single, meta, u, v);
+  EXPECT_EQ(bound.lower, 5u);
+  EXPECT_EQ(bound.upper, 11u);
+
+  // Near-sentinel distances: du + dv exceeds 0xFFFF on every shared lane,
+  // and the upper bound is the exact 32-bit sum, not a saturated one.
+  PathLabeling high = SyntheticLabeling(k, 2);
+  uint32_t want_lower = 0;
+  uint32_t want_upper = kUnreachable;
+  for (LandmarkIndex i = 0; i < k; ++i) {
+    const auto du = static_cast<DistT>(0xFFFE - i % 13);
+    const auto dv = static_cast<DistT>(0xFFF0 + i % 7);
+    high.Set(u, i, du);
+    high.Set(v, i, dv);
+    want_lower = std::max<uint32_t>(want_lower, du > dv ? du - dv : dv - du);
+    want_upper = std::min(want_upper, static_cast<uint32_t>(du) + dv);
+  }
+  bound = ComputeLabelBound(high, meta, u, v);
+  EXPECT_GT(bound.upper, 0xFFFFu);
+  EXPECT_EQ(bound.lower, want_lower);
+  EXPECT_EQ(bound.upper, want_upper);
+}
+
+TEST_P(LabelRowScan, AnchorCandidatesInLandmarkOrder) {
+  const uint32_t k = GetParam();
+  PathLabeling labeling = SyntheticLabeling(k, 1);
+  const VertexId t = k;
+  std::mt19937_64 rng(k);
+  std::vector<SketchAnchor> want;
+  for (LandmarkIndex i = 0; i < k; ++i) {
+    if (rng() % 3 == 0 && i + 1 != k) continue;  // the last lane stays set
+    const auto d = static_cast<DistT>(1 + rng() % 0xFFFE);
+    labeling.Set(t, i, d);
+    want.push_back(SketchAnchor{i, d});
+  }
+  std::vector<SketchAnchor> got = {SketchAnchor{99, 99}};  // cleared first
+  ComputeAnchorCandidatesInto(labeling, t, &got);
+  EXPECT_EQ(got, want);
+
+  // A landmark endpoint is its single virtual entry (rank, 0).
+  ComputeAnchorCandidatesInto(labeling, k - 1, &got);
+  EXPECT_EQ(got, (std::vector<SketchAnchor>{SketchAnchor{k - 1, 0}}));
+}
+
+INSTANTIATE_TEST_SUITE_P(RowLengths, LabelRowScan,
+                         ::testing::Values(1u, 7u, 33u));
+
+// Rows are stored unpadded (|R| lanes each), so a Save/Load round trip at
+// an |R| that is no multiple of any vector width restores every entry and
+// every bound.
+TEST(LabelRowStorage, SaveLoadRoundTripAtSevenLandmarks) {
+  const Graph g = BarabasiAlbert(200, 3, 5);
+  const auto scheme = BuildLabelingScheme(
+      g, SelectLandmarks(g, 7, LandmarkStrategy::kHighestDegree, 5));
+  const std::string path =
+      ::testing::TempDir() + "/sketch_test_roundtrip_r7.qbs";
+  ASSERT_TRUE(SaveLabelingScheme(scheme, path));
+  auto loaded = LoadLabelingScheme(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  const PathLabeling& a = scheme.labeling;
+  const PathLabeling& b = loaded->labeling;
+  ASSERT_EQ(b.num_landmarks(), 7u);
+  ASSERT_EQ(b.num_vertices(), a.num_vertices());
+  EXPECT_EQ(b.SizeBytes(), uint64_t{200} * 7 * sizeof(DistT));
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    for (LandmarkIndex i = 0; i < 7; ++i) {
+      ASSERT_EQ(b.Row(v)[i], a.Get(v, i)) << "v=" << v << " i=" << i;
+    }
+  }
+  for (VertexId u = 0; u < 200; u += 7) {
+    for (VertexId v = 1; v < 200; v += 11) {
+      if (u == v) continue;
+      const LabelBound want = ComputeLabelBound(a, scheme.meta, u, v);
+      const LabelBound got = ComputeLabelBound(b, loaded->meta, u, v);
+      ASSERT_EQ(got.lower, want.lower) << "u=" << u << " v=" << v;
+      ASSERT_EQ(got.upper, want.upper) << "u=" << u << " v=" << v;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace qbs
