@@ -43,7 +43,7 @@ size_t EnvPairs();
 double EnvBudgetSeconds();
 size_t EnvThreads();
 // Batch-query knobs (ROADMAP "Parallel QueryBatch tuning"): queries per
-// QueryBatch call and the work-stealing chunk size inside a batch.
+// QueryBatch call and the ParallelFor chunk size inside a batch.
 size_t EnvBatchSize();
 size_t EnvGrain();
 

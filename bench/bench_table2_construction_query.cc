@@ -107,7 +107,7 @@ void Run() {
         static_cast<double>(d.pairs.size());
 
     // Parallel batch path: QueryBatch in batch_size chunks on the QbS-P
-    // index (per-thread searcher pool + work-stealing ParallelFor).
+    // index (per-thread searcher pool + chunked ParallelFor).
     std::vector<QueryRequest> batch_requests;
     batch_requests.reserve(d.pairs.size());
     for (const auto& [u, v] : d.pairs) batch_requests.emplace_back(u, v);

@@ -7,15 +7,28 @@
 namespace qbs {
 
 Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
-  std::vector<Edge> edges;
-  edges.reserve(g.NumEdges());
-  for (VertexId x = 0; x < g.NumVertices(); ++x) {
+  // G's adjacency is sorted and symmetric, and dropping the landmarks'
+  // rows and entries keeps it so: one counting pass sizes G⁻'s CSR, one
+  // filling pass copies each non-landmark's non-landmark neighbours in
+  // order, and nothing needs sorting.
+  const VertexId n = g.NumVertices();
+  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
+  for (VertexId x = 0; x < n; ++x) {
+    uint64_t kept = 0;
+    if (!labeling.IsLandmark(x)) {
+      for (VertexId w : g.Neighbors(x)) kept += !labeling.IsLandmark(w);
+    }
+    offsets[x + 1] = offsets[x] + kept;
+  }
+  std::vector<VertexId> adjacency;
+  adjacency.reserve(offsets[n]);
+  for (VertexId x = 0; x < n; ++x) {
     if (labeling.IsLandmark(x)) continue;
     for (VertexId w : g.Neighbors(x)) {
-      if (x < w && !labeling.IsLandmark(w)) edges.emplace_back(x, w);
+      if (!labeling.IsLandmark(w)) adjacency.push_back(w);
     }
   }
-  return Graph::FromEdges(g.NumVertices(), std::move(edges));
+  return Graph::FromCsr(std::move(offsets), std::move(adjacency));
 }
 
 GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,

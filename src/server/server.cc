@@ -528,8 +528,8 @@ bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta,
     // cached) against the pre-update index is ever served afterwards. An
     // empty-net frame can still change the labelling: it consolidates
     // columns deferred by earlier frames.
-    // ApplyUpdates schedules pool work while this is held — legal because
-    // the pool ranks (kThreadPool*) sit above kIndex.
+    // ApplyUpdates runs ParallelFor while this is held — legal because
+    // the pool rank (kThreadPool) sits above kIndex.
     WriterLock write_lock(index_mu_);
     UpdateOptions opt;
     opt.consolidate = (flags & kUpdateFlagDefer) == 0;

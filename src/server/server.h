@@ -146,7 +146,8 @@ struct ServerOptions {
 
   /// Test hook: builds one FaultInjector per accepted connection (keyed by
   /// the connection counter) and attaches it to the connection's socket
-  /// and query execution. Production servers leave this empty.
+  /// and query execution; a null injector leaves that connection
+  /// fault-free. Production servers leave this empty.
   std::function<std::unique_ptr<FaultInjector>(uint64_t connection_id)>
       fault_injector_factory;
 };

@@ -2,163 +2,167 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <exception>
+#include <thread>
+#include <vector>
 
-#include "util/check.h"
+#include "util/sync.h"
 
 namespace qbs {
 namespace {
 
-// Identifies the pool (and worker slot) the current thread belongs to, so
-// Schedule can push to the local deque and stealing can skip it.
-struct TlsWorker {
-  ThreadPool* pool = nullptr;
-  size_t index = 0;
-};
-thread_local TlsWorker tls_worker;
+using Body = std::function<void(size_t index, size_t worker)>;
 
-constexpr size_t kNoHome = static_cast<size_t>(-1);
+// One ParallelFor call. It lives on the caller's stack; helpers reach it
+// only through the pool's open-job list, and the caller does not return
+// before every helper that joined it has left.
+struct Job {
+  Job(const Body& body, size_t n, size_t chunk, size_t num_workers)
+      : fn(body), count(n), grain(chunk), workers(num_workers) {}
+
+  // True once no chunk is left to hand out.
+  bool Drained() const {
+    return failed.load() || cursor.load(std::memory_order_relaxed) >= count;
+  }
+
+  // Runs chunks as worker `slot` until the cursor passes the end or some
+  // participant has thrown. The first participant to throw keeps its
+  // exception in `error`; the others stop at their next chunk boundary.
+  void RunChunks(size_t slot) {
+    try {
+      while (!failed.load()) {
+        const size_t begin =
+            cursor.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= count) return;
+        const size_t end = std::min(begin + grain, count);
+        for (size_t i = begin; i < end; ++i) fn(i, slot);
+      }
+    } catch (...) {
+      bool first = false;
+      if (failed.compare_exchange_strong(first, true)) {
+        error = std::current_exception();
+      }
+    }
+  }
+
+  const Body& fn;
+  const size_t count;
+  const size_t grain;
+  const size_t workers;
+  std::atomic<size_t> cursor{0};
+  std::atomic<bool> failed{false};
+  // Written only by the participant that set `failed`, before it leaves.
+  std::exception_ptr error;
+  // Guarded by the pool mutex.
+  size_t next_slot = 1;  // next helper slot, in [1, workers)
+  size_t inside = 0;     // helpers currently running chunks
+  bool open = true;      // still listed as open to helpers
+  CondVar left;          // notified when a helper leaves
+};
+
+// Helper threads, created once on first use. Locks: `mu_` is a leaf of
+// the lock order (chunks run with no pool lock held, and ApplyUpdates
+// reaches ParallelFor under the index writer lock), so code running
+// inside a chunk must only acquire ranks above kIndex.
+class HelperPool {
+ public:
+  static HelperPool& Shared() {
+    static HelperPool pool(EffectiveThreads(0));
+    return pool;
+  }
+
+  explicit HelperPool(size_t num_threads) {
+    threads_.reserve(num_threads);
+    for (size_t i = 0; i < num_threads; ++i) {
+      threads_.emplace_back([this] { HelperLoop(); });
+    }
+  }
+
+  HelperPool(const HelperPool&) = delete;
+  HelperPool& operator=(const HelperPool&) = delete;
+
+  ~HelperPool() {
+    {
+      MutexLock lock(mu_);
+      shutdown_ = true;
+    }
+    work_.NotifyAll();
+    for (auto& t : threads_) t.join();
+  }
+
+  // Opens `job` to helpers, runs slot 0 on the calling thread, then closes
+  // the job and waits — on the job's own condition, with no timeout — for
+  // every helper that joined to leave. Rethrows the job's exception.
+  void Run(Job& job) {
+    size_t wake;
+    {
+      MutexLock lock(mu_);
+      open_.push_back(&job);
+      wake = std::min(idle_, job.workers - 1);
+    }
+    for (size_t i = 0; i < wake; ++i) work_.NotifyOne();
+    job.RunChunks(0);
+    {
+      MutexLock lock(mu_);
+      if (job.open) Close(&job);
+      while (job.inside > 0) job.left.Wait(mu_);
+    }
+    if (job.error != nullptr) std::rethrow_exception(job.error);
+  }
+
+ private:
+  void HelperLoop() {
+    for (;;) {
+      Job* job = nullptr;
+      size_t slot = 0;
+      {
+        MutexLock lock(mu_);
+        while (!shutdown_ && (job = Claim(&slot)) == nullptr) {
+          ++idle_;
+          work_.Wait(mu_);
+          --idle_;
+        }
+        if (job == nullptr) return;
+      }
+      job->RunChunks(slot);
+      // Notify under the lock: once `inside` reads 0 the caller may
+      // return and destroy the job, condition variable included.
+      MutexLock lock(mu_);
+      if (--job->inside == 0) job->left.NotifyOne();
+    }
+  }
+
+  // Claims a helper slot in the oldest open job that still has chunks,
+  // closing the drained ones on the way. Returns nullptr if none is left.
+  Job* Claim(size_t* slot) QBS_REQUIRES(mu_) {
+    while (!open_.empty()) {
+      Job* job = open_.front();
+      if (job->Drained()) {
+        Close(job);
+        continue;
+      }
+      *slot = job->next_slot++;
+      ++job->inside;
+      if (job->next_slot == job->workers) Close(job);
+      return job;
+    }
+    return nullptr;
+  }
+
+  void Close(Job* job) QBS_REQUIRES(mu_) {
+    open_.erase(std::find(open_.begin(), open_.end(), job));
+    job->open = false;
+  }
+
+  Mutex mu_{LockRank::kThreadPool};
+  CondVar work_;  // idle helpers: a job opened, or shutdown
+  std::vector<Job*> open_ QBS_GUARDED_BY(mu_);
+  size_t idle_ QBS_GUARDED_BY(mu_) = 0;
+  bool shutdown_ QBS_GUARDED_BY(mu_) = false;
+  std::vector<std::thread> threads_;
+};
 
 }  // namespace
-
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  queues_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mu_);
-    shutdown_ = true;
-  }
-  wake_.NotifyAll();
-  for (auto& w : workers_) {
-    w.join();
-  }
-}
-
-void ThreadPool::Schedule(std::function<void()> task) {
-  size_t target;
-  {
-    MutexLock lock(mu_);
-    QBS_CHECK(!shutdown_);
-    ++queued_;
-    ++pending_;
-    target = next_queue_++ % queues_.size();
-  }
-  const bool local =
-      tls_worker.pool == this && tls_worker.index < queues_.size();
-  if (local) target = tls_worker.index;
-  {
-    WorkerQueue& queue = *queues_[target];
-    MutexLock qlock(queue.mu);
-    if (local) {
-      queue.tasks.push_front(std::move(task));  // LIFO for owner
-    } else {
-      queue.tasks.push_back(std::move(task));
-    }
-  }
-  wake_.NotifyOne();
-  event_.NotifyAll();
-}
-
-bool ThreadPool::PopOrSteal(size_t home, std::function<void()>* task) {
-  const size_t n = queues_.size();
-  // Own deque first, LIFO: the task most recently pushed here is the
-  // cache-warmest.
-  if (home != kNoHome) {
-    WorkerQueue& queue = *queues_[home];
-    MutexLock qlock(queue.mu);
-    if (!queue.tasks.empty()) {
-      *task = std::move(queue.tasks.front());
-      queue.tasks.pop_front();
-      return true;
-    }
-  }
-  // Steal FIFO from a victim, scanning from the next slot over.
-  for (size_t off = 0; off < n; ++off) {
-    const size_t victim = home == kNoHome ? off : (home + 1 + off) % n;
-    if (victim == home) continue;
-    WorkerQueue& queue = *queues_[victim];
-    MutexLock qlock(queue.mu);
-    if (!queue.tasks.empty()) {
-      *task = std::move(queue.tasks.back());
-      queue.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::RunTask(std::function<void()>* task) {
-  {
-    MutexLock lock(mu_);
-    --queued_;
-  }
-  (*task)();
-  {
-    MutexLock lock(mu_);
-    --pending_;
-  }
-  event_.NotifyAll();
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_worker = TlsWorker{this, index};
-  for (;;) {
-    std::function<void()> task;
-    if (PopOrSteal(index, &task)) {
-      RunTask(&task);
-      continue;
-    }
-    MutexLock lock(mu_);
-    while (!shutdown_ && queued_ == 0) wake_.Wait(mu_);
-    if (shutdown_ && queued_ == 0) return;
-  }
-}
-
-bool ThreadPool::TryRunOne() {
-  const size_t home =
-      tls_worker.pool == this ? tls_worker.index : kNoHome;
-  std::function<void()> task;
-  if (!PopOrSteal(home, &task)) return false;
-  RunTask(&task);
-  return true;
-}
-
-void ThreadPool::HelpWhile(const std::function<bool()>& done) {
-  while (!done()) {
-    if (TryRunOne()) continue;
-    MutexLock lock(mu_);
-    // Park until a task is queued or finishes; the deadline re-checks
-    // `done` in case its state changed without a pool event.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
-    while (queued_ == 0 && !shutdown_) {
-      if (!event_.WaitUntil(mu_, deadline)) break;
-    }
-  }
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mu_);
-  while (pending_ != 0) event_.Wait(mu_);
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(0);
-  return pool;
-}
 
 size_t EffectiveThreads(size_t num_threads) {
   if (num_threads == 0) {
@@ -169,44 +173,22 @@ size_t EffectiveThreads(size_t num_threads) {
 }
 
 void ParallelFor(size_t count, const ParallelForOptions& options,
-                 const std::function<void(size_t index, size_t worker)>& fn) {
+                 const Body& fn) {
   if (count == 0) return;
-  size_t workers = EffectiveThreads(options.num_threads);
-  if (workers > count) workers = count;
+  const size_t workers =
+      std::min(EffectiveThreads(options.num_threads), count);
   if (workers == 1) {
     for (size_t i = 0; i < count; ++i) fn(i, 0);
     return;
   }
-  size_t grain = options.grain;
-  if (grain == 0) grain = std::max<size_t>(1, count / (workers * 8));
-
-  std::atomic<size_t> cursor{0};
-  std::atomic<size_t> live{workers - 1};
-  const auto run = [&cursor, &fn, count, grain](size_t w) {
-    for (;;) {
-      const size_t begin = cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= count) return;
-      const size_t end = std::min(begin + grain, count);
-      for (size_t i = begin; i < end; ++i) fn(i, w);
-    }
-  };
-
-  ThreadPool& pool = ThreadPool::Shared();
-  for (size_t w = 1; w < workers; ++w) {
-    pool.Schedule([&run, &live, w] {
-      run(w);
-      live.fetch_sub(1, std::memory_order_acq_rel);
-    });
-  }
-  run(0);
-  // Keep draining pool tasks while the scheduled participants finish; this
-  // also makes nested ParallelFor calls deadlock-free.
-  pool.HelpWhile(
-      [&live] { return live.load(std::memory_order_acquire) == 0; });
+  const size_t grain = options.grain != 0
+                           ? options.grain
+                           : std::max<size_t>(1, count / (workers * 8));
+  Job job(fn, count, grain, workers);
+  HelperPool::Shared().Run(job);
 }
 
-void ParallelFor(size_t count, size_t num_threads,
-                 const std::function<void(size_t index, size_t worker)>& fn) {
+void ParallelFor(size_t count, size_t num_threads, const Body& fn) {
   ParallelForOptions options;
   options.num_threads = num_threads;
   ParallelFor(count, options, fn);

@@ -123,9 +123,9 @@ TEST(FaultPlanTest, ScriptedResetFiresExactlyOnce) {
 // ---- Loopback chaos plans -------------------------------------------------
 
 struct ChaosPlan {
-  const char* name;
-  FaultSpec client;         // faults on the client's socket
-  FaultSpec server;         // faults on every server connection socket
+  const char* name = "";
+  FaultSpec client{};       // faults on the client's socket
+  FaultSpec server{};       // faults on every server connection socket
   uint32_t deadline_ms = kNoDeadline;
   size_t max_inflight = 4;
   size_t degrade_after_inflight = 0;
@@ -274,8 +274,14 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
     options.read_timeout_ms = 1000;
     options.idle_timeout_ms = 10000;
     options.write_timeout_ms = 2000;
+    // Cleared before the post-plan probe, whose connection must get no
+    // injector: the probe checks the server, not the plan's faults.
+    std::atomic<bool> inject_server_faults{true};
     if (plan.server.HasIoFaults() || plan.server.query_delay_rate > 0) {
-      options.fault_injector_factory = [&server_plan](uint64_t conn_id) {
+      options.fault_injector_factory =
+          [&server_plan, &inject_server_faults](
+              uint64_t conn_id) -> std::unique_ptr<FaultInjector> {
+        if (!inject_server_faults.load()) return nullptr;
         return server_plan.MakeInjector(conn_id);
       };
     }
@@ -386,6 +392,7 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
     if (!client.connected()) {
       ASSERT_TRUE(client.Reconnect()) << client.last_error();
     }
+    inject_server_faults.store(false);
     QueryClient probe;
     ClientOptions probe_options;
     probe_options.read_timeout_ms = 3000;

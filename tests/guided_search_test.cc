@@ -93,6 +93,60 @@ TEST_F(GuidedSearchFigure4Test, StatsTrackSparsification) {
   EXPECT_GT(stats.edges_scanned_recover, 0u);
 }
 
+// The reference G⁻: collect G's non-landmark edges and let FromEdges sort
+// them. MakeSparsifiedGraph filters G's sorted CSR instead and must yield
+// the same arrays.
+Graph SparsifiedByEdgeList(const Graph& g, const PathLabeling& labeling) {
+  std::vector<Edge> edges;
+  for (const Edge& e : g.EdgeList()) {
+    if (!labeling.IsLandmark(e.u) && !labeling.IsLandmark(e.v)) {
+      edges.push_back(e);
+    }
+  }
+  return Graph::FromEdges(g.NumVertices(), std::move(edges));
+}
+
+TEST(SparsifiedGraphTest, MatchesEdgeListConstruction) {
+  struct Case {
+    const char* name;
+    Graph g;
+    std::vector<VertexId> landmarks;
+  };
+  const Graph ba = BarabasiAlbert(400, 3, 21);
+  const Graph rmat = RMat(9, 8, 0.57, 0.19, 0.19, 5);
+  const std::vector<Case> cases = {
+      {"barabasi-albert", ba,
+       SelectLandmarks(ba, 12, LandmarkStrategy::kHighestDegree, 1)},
+      {"r-mat", rmat,
+       SelectLandmarks(rmat, 16, LandmarkStrategy::kHighestDegree, 1)},
+      // Vertices 5..9 have no edges; landmark 7 is one of them.
+      {"isolated-vertices",
+       Graph::FromEdges(10, {{0, 1}, {1, 2}, {2, 3}, {3, 4}}),
+       {1, 7}},
+      // Landmarks 0 and 1 share an edge, which G⁻ must drop.
+      {"adjacent-landmarks",
+       Graph::FromEdges(6, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 5},
+                            {1, 5}}),
+       {0, 1}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto scheme = BuildLabelingScheme(c.g, c.landmarks);
+    const Graph fast = MakeSparsifiedGraph(c.g, scheme.labeling);
+    const Graph reference = SparsifiedByEdgeList(c.g, scheme.labeling);
+    const auto offsets = [](const Graph& g) {
+      return std::vector<uint64_t>(g.RawOffsets().begin(),
+                                   g.RawOffsets().end());
+    };
+    const auto adjacency = [](const Graph& g) {
+      return std::vector<VertexId>(g.RawAdjacency().begin(),
+                                   g.RawAdjacency().end());
+    };
+    EXPECT_EQ(offsets(fast), offsets(reference));
+    EXPECT_EQ(adjacency(fast), adjacency(reference));
+  }
+}
+
 TEST(GuidedSearchTest, DisconnectedPair) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   const auto scheme = BuildLabelingScheme(g, {1});

@@ -54,11 +54,16 @@ TEST(LatencyHistogramTest, ConcurrentSnapshotsNeverOvercountTotal) {
   constexpr int kPerThread = 20000;
   LatencyHistogram h;
   std::atomic<bool> done{false};
+  // Writers hold off until the reader has taken its first snapshot, so
+  // the snapshots overlap the writes even when the reader thread is
+  // scheduled late.
+  std::atomic<bool> reading{false};
 
   std::vector<std::thread> writers;
   writers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&h] {
+    writers.emplace_back([&h, &reading] {
+      while (!reading.load()) std::this_thread::yield();
       for (int i = 0; i < kPerThread; ++i) h.Record(kSample);
     });
   }
@@ -68,6 +73,7 @@ TEST(LatencyHistogramTest, ConcurrentSnapshotsNeverOvercountTotal) {
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       const auto snap = h.GetSnapshot();
+      reading.store(true);
       ASSERT_LE(snap.total_nanos, snap.count * kSample);
       // Counts are monotone across snapshots from one reader.
       ASSERT_GE(snap.count, last_count);

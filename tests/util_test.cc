@@ -1,4 +1,3 @@
-#include <atomic>
 #include <set>
 #include <vector>
 
@@ -6,7 +5,6 @@
 
 #include "util/epoch_array.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace qbs {
@@ -104,46 +102,6 @@ TEST(EpochArrayTest, ManyResetCycles) {
     a.Reset();
     EXPECT_EQ(a.Get(cycle % 4), -1);
   }
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Schedule([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), 100);
-  }
-}
-
-TEST(ParallelForTest, CoversAllIndicesOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  ParallelFor(hits.size(), 8,
-              [&](size_t i, size_t) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, SingleThreadInline) {
-  std::vector<int> order;
-  ParallelFor(5, 1, [&](size_t i, size_t worker) {
-    EXPECT_EQ(worker, 0u);
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelForTest, WorkerIndexInRange) {
-  std::atomic<bool> ok{true};
-  ParallelFor(100, 3, [&](size_t, size_t worker) {
-    if (worker >= 3) ok = false;
-  });
-  EXPECT_TRUE(ok.load());
-}
-
-TEST(ParallelForTest, ZeroCountIsNoop) {
-  ParallelFor(0, 4, [](size_t, size_t) { FAIL(); });
 }
 
 TEST(WallTimerTest, Monotonic) {
